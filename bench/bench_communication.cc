@@ -4,10 +4,11 @@
 // 4 KiB; total communication per request is 13.6 KiB including the 2×
 // two-server overhead (their key serialization is ~2.8 KiB/key).
 //
-// Our tree DPF serializes to (λ+2)·d BITS plus an 18-byte header
-// (~0.4 KiB at d=22), so our totals are smaller; the shape to reproduce is
-// upload = Θ(d) (logarithmic in the key space), download = Θ(record size),
-// and the 2× factor from querying two servers.
+// Our early-terminated tree DPF serializes to (λ+2)·(d−7) BITS plus an
+// 18-byte header and a 16-byte output word (289 B at d=22), so our totals
+// are smaller; the shape to reproduce is upload = Θ(d) (logarithmic in the
+// key space), download = Θ(record size), and the 2× factor from querying
+// two servers.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -76,10 +77,10 @@ void PrintReproductionTable() {
   std::printf("paper (d=22, 4 KiB bucket, 2 servers): 13.6 KiB/request\n");
   std::printf("ours  (d=22, 4 KiB bucket, 2 servers): %4.1f KiB/request\n",
               ours);
-  std::printf("  (smaller because our keys are (λ+2)d bits = %zu B vs their "
-              "~2.8 KiB serialization;\n   upload stays logarithmic in the "
-              "key space, download linear in the value — the paper's "
-              "claims)\n\n",
+  std::printf("  (smaller because our keys are (λ+2)(d-7)+2λ bits = %zu B "
+              "vs their ~2.8 KiB serialization;\n   upload stays logarithmic "
+              "in the key space, download linear in the value — the "
+              "paper's claims)\n\n",
               pir::QueryUploadBytes(22));
 }
 

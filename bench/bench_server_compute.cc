@@ -8,14 +8,14 @@
 // paper's exact configuration (and smaller ones for the curve), then prints
 // the reproduction table. Absolute times differ with hardware; the claims
 // to check are (a) scan time scales with stored bytes, (b) DPF evaluation
-// scales with 2^d, and (c) the two are the same order of magnitude at the
-// paper's parameters, with the scan dominating.
+// scales with 2^d, and (c) the scan dominates at the paper's parameters.
 //
 // Flags (stripped before google-benchmark sees argv):
 //   --threads=N  run the reproduction table through an N-thread pool and
 //                print a thread-scaling curve (1 = serial, 0 = all cores)
 //   --smoke      64 MiB shard / 1 iteration — CI smoke leg
-//   --json=PATH  archive measured rows as JSON
+//   --json=PATH  archive measured rows (google-benchmark runs included) as
+//                JSON
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -40,24 +40,6 @@ void BM_DpfFullEval(benchmark::State& state) {
 }
 BENCHMARK(BM_DpfFullEval)->Arg(16)->Arg(18)->Arg(20)->Arg(22)
     ->Unit(benchmark::kMillisecond);
-
-// The same evaluation split across a pool: the top of the tree is expanded
-// once, then blocks of sub-trees expand on the workers (args: domain bits,
-// pool threads).
-void BM_DpfFullEvalParallel(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const dpf::KeyPair pair = dpf::Generate(123, d);
-  ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dpf::EvalFullParallel(pair.key0, &pool));
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["leaves"] = static_cast<double>(std::uint64_t{1} << d);
-}
-BENCHMARK(BM_DpfFullEvalParallel)
-    ->Args({18, 2})->Args({18, 4})->Args({22, 2})->Args({22, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Data-scan cost vs stored bytes (the "103 ms" component).
 void BM_DataScan(benchmark::State& state) {
@@ -118,6 +100,23 @@ void BM_XorKernel(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) * kRecordSize);
 }
 BENCHMARK(BM_XorKernel);
+
+// Console output as usual, plus one JSON row per google-benchmark run, so
+// the --json artifact carries the microbenchmarks (CI's smoke leg tracks
+// DpfFullEval/16 per change) next to the reproduction table.
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      const auto bytes = run.counters.find("bytes_per_second");
+      g_json.Add(run.benchmark_name(), run.iterations,
+                 run.GetAdjustedRealTime() * 1e9 /
+                     benchmark::GetTimeUnitMultiplier(run.time_unit),
+                 bytes == run.counters.end() ? 0.0 : bytes->second.value);
+    }
+  }
+};
 
 void RecordRequestCost(const std::string& name, const RequestCost& cost,
                        int iters, std::size_t scanned_bytes) {
@@ -202,7 +201,8 @@ void PrintReproductionTable() {
 int main(int argc, char** argv) {
   lw::bench::g_flags = lw::bench::ParseBenchFlags(&argc, argv);
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  lw::bench::RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   lw::bench::PrintReproductionTable();
   if (!lw::bench::g_flags.json_path.empty()) {

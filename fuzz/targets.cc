@@ -90,7 +90,12 @@ int FuzzDpf(const std::uint8_t* data, std::size_t size) {
       const dpf::BitVector bits = dpf::EvalFull(*key);
       LW_CHECK_MSG(dpf::GetBit(bits, 0) == at_zero,
                    "EvalFull disagrees with EvalPoint");
-      const int top = std::min<int>(2, key->domain_bits);
+      // The last output bit of the last leaf: the far corner of the
+      // transposed leaf layout.
+      const std::uint64_t last = (std::uint64_t{1} << key->domain_bits) - 1;
+      LW_CHECK_MSG(dpf::GetBit(bits, last) == dpf::EvalPoint(*key, last),
+                   "EvalFull disagrees with EvalPoint at the last point");
+      const int top = std::min(2, dpf::TreeDepth(key->domain_bits));
       const auto shards = dpf::SplitForShards(*key, top);
       for (const dpf::SubtreeKey& sub : shards) {
         const auto redone = dpf::SubtreeKey::Deserialize(sub.Serialize());

@@ -4,10 +4,11 @@
 // right 16-byte child seed plus one control bit per side. Expansion is
 // fixed-key AES-128 in Matyas–Meyer–Oseas mode with two distinct public keys
 // (one per side); the child's low bit becomes the control bit and is cleared
-// from the seed. Fixed-key AES-MMO is the standard high-throughput choice for
-// FSS implementations (it is correlation-robust under the ideal-cipher
-// heuristic), and is what makes the per-query linear scan in the paper's
-// §5.1 microbenchmark feasible.
+// from the seed. A third public key converts an early-terminated tree's leaf
+// seeds into 128 output bits each. Fixed-key AES-MMO is the standard
+// high-throughput choice for FSS implementations (it is correlation-robust
+// under the ideal-cipher heuristic), and is what makes the per-query linear
+// scan in the paper's §5.1 microbenchmark feasible.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +37,16 @@ class DpfPrg {
               std::uint8_t right[kPrgSeedSize], std::uint8_t* t_left,
               std::uint8_t* t_right) const;
 
+  // Leaf conversion: out[i] receives 128 pseudorandom output bits derived
+  // from seeds[i] (AES-MMO under a key independent of the expansion keys).
+  // Buffers are n*16 bytes.
+  void ConvertBatch(const std::uint8_t* seeds, std::size_t n,
+                    std::uint8_t* out) const;
+
  private:
   Aes128 aes_left_;
   Aes128 aes_right_;
+  Aes128 aes_convert_;
 };
 
 // Process-wide PRG instance (the keys are fixed public constants, so one

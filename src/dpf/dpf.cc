@@ -1,5 +1,6 @@
 #include "dpf/dpf.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
@@ -8,7 +9,6 @@
 #include "util/check.h"
 #include "util/io.h"
 #include "util/rand.h"
-#include "util/thread_pool.h"
 
 namespace lw::dpf {
 namespace {
@@ -30,17 +30,21 @@ Status CheckDomainBits(int domain_bits) {
   return Status::Ok();
 }
 
-// Serialization helpers shared by DpfKey and SubtreeKey.
-void WriteCorrectionWords(Writer& w, const std::vector<CorrectionWord>& cws) {
+// Serialization helpers shared by DpfKey and SubtreeKey: the correction
+// words, then the output word.
+void WriteCorrectionWords(Writer& w, const std::vector<CorrectionWord>& cws,
+                          const std::uint8_t* output_cw) {
   for (const CorrectionWord& cw : cws) {
     w.Raw(ByteSpan(cw.seed, kSeedSize));
     w.U8(static_cast<std::uint8_t>(cw.t_left | (cw.t_right << 1)));
   }
+  w.Raw(ByteSpan(output_cw, kSeedSize));
 }
 
-Status ReadCorrectionWords(Reader& r, int count,
-                           std::vector<CorrectionWord>& out) {
-  out.resize(static_cast<std::size_t>(count));
+Status ReadCorrectionWords(Reader& r, int domain_bits,
+                           std::vector<CorrectionWord>& out,
+                           std::uint8_t* output_cw) {
+  out.resize(static_cast<std::size_t>(TreeDepth(domain_bits)));
   for (CorrectionWord& cw : out) {
     LW_ASSIGN_OR_RETURN(Bytes seed, r.Raw(kSeedSize));
     std::memcpy(cw.seed, seed.data(), kSeedSize);
@@ -49,7 +53,22 @@ Status ReadCorrectionWords(Reader& r, int count,
     cw.t_left = bits & 1;
     cw.t_right = (bits >> 1) & 1;
   }
+  LW_ASSIGN_OR_RETURN(Bytes word, r.Raw(kSeedSize));
+  std::memcpy(output_cw, word.data(), kSeedSize);
   return Status::Ok();
+}
+
+// In-place transpose of a 64x64 bit matrix (bit c of row r <-> bit r of
+// row c): swaps ever smaller off-diagonal blocks, 6 rounds of 32 word ops.
+void Transpose64(std::uint64_t a[64]) {
+  std::uint64_t m = 0x00000000ffffffffULL;
+  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
+      a[k] ^= t << j;
+      a[k + j] ^= t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -58,31 +77,45 @@ Status ReadCorrectionWords(Reader& r, int count,
 // Bit order: level i consumes bit i of the evaluation point (LSB first).
 // A level is laid out as [all left children || all right children], so the
 // PRG's batch output lands in its final position with no interleaving copy,
-// and after d levels leaf p sits at array position p (p's bit i chose the
-// branch at level i, contributing 2^i to the position — exactly p).
+// and after n = TreeDepth(d) levels leaf p sits at array position p (p's
+// bit i chose the branch at level i, contributing 2^i to the position —
+// exactly p). Leaf p's converted output bit b is then the point
+// x = p + b·2^n.
 // ---------------------------------------------------------------------------
 
-// Expands `levels` levels starting from `n` roots (seeds/ts), returning only
-// the leaf control bits, packed. Ping-pongs two uninitialized buffers: this
-// is the per-request hot loop of a ZLTP server (§5.1's "DPF evaluation").
-BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seeds,
-                           const std::uint8_t* root_ts, std::size_t n,
-                           LW_SECRET const CorrectionWord* cws, int levels) {
-  const std::size_t final_n = n << levels;
-  if (levels == 0) {
-    BitVector out((n + 63) / 64, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i >> 6] |= std::uint64_t{root_ts[i]} << (i & 63);
-    }
-    return out;
+// Expands one level: n parent seeds and control bits become 2n children,
+// laid out [left || right] and corrected where the parent's bit is set.
+void ExpandLevel(LW_SECRET const std::uint8_t* seeds, const std::uint8_t* ts,
+                 std::size_t n, LW_SECRET const CorrectionWord& cw,
+                 LW_SECRET std::uint8_t* next, std::uint8_t* next_t) {
+  SharedDpfPrg().ExpandBatch(seeds, n, /*left=*/next,
+                             /*right=*/next + n * kSeedSize,
+                             /*t_left=*/next_t, /*t_right=*/next_t + n);
+  for (std::size_t j = 0; j < n; ++j) {
+    MaskedXorSeed(next + j * kSeedSize, cw.seed, ts[j]);
+    MaskedXorSeed(next + (n + j) * kSeedSize, cw.seed, ts[j]);
+    next_t[j] = static_cast<std::uint8_t>(next_t[j] ^ (ts[j] & cw.t_left));
+    next_t[n + j] =
+        static_cast<std::uint8_t>(next_t[n + j] ^ (ts[j] & cw.t_right));
   }
+}
 
-  // Uninitialized, thread-local scratch reused across queries: a ZLTP
-  // server evaluates one of these per request, and re-faulting ~130 MB of
-  // fresh pages each time would dominate the DPF cost (std::vector would
-  // additionally zero-fill it). Both ping-pong buffers need full capacity:
-  // the final level lands in either one depending on the parity of
-  // `levels`.
+// Expands one root down to its leaves and converts them, returning all
+// 2^domain_bits output bits, packed. Ping-pongs two uninitialized buffers:
+// this is the per-request hot loop of a ZLTP server (§5.1's "DPF
+// evaluation").
+BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seed,
+                           std::uint8_t root_t,
+                           LW_SECRET const CorrectionWord* cws,
+                           LW_SECRET const std::uint8_t* output_cw,
+                           int domain_bits) {
+  const int levels = TreeDepth(domain_bits);
+  const std::size_t leaves = std::size_t{1} << levels;
+
+  // Uninitialized, thread-local scratch reused across queries (std::vector
+  // would zero-fill it on every request). Both ping-pong buffers need full
+  // capacity: the leaves land in either one depending on the parity of
+  // `levels`, and the conversion writes into the other.
   struct Scratch {
     std::unique_ptr<std::uint8_t[]> data;
     std::size_t size = 0;
@@ -96,48 +129,42 @@ BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seeds,
   };
   thread_local Scratch seeds_a, seeds_b, ts_a, ts_b;
 
-  std::uint8_t* cur = seeds_a.Get(final_n * kSeedSize);
-  std::uint8_t* next = seeds_b.Get(final_n * kSeedSize);
-  std::uint8_t* cur_t = ts_a.Get(final_n);
-  std::uint8_t* next_t = ts_b.Get(final_n);
-  std::memcpy(cur, root_seeds, n * kSeedSize);
-  std::memcpy(cur_t, root_ts, n);
+  std::uint8_t* cur = seeds_a.Get(leaves * kSeedSize);
+  std::uint8_t* next = seeds_b.Get(leaves * kSeedSize);
+  std::uint8_t* cur_t = ts_a.Get(leaves);
+  std::uint8_t* next_t = ts_b.Get(leaves);
+  std::memcpy(cur, root_seed, kSeedSize);
+  cur_t[0] = root_t;
 
   for (int level = 0; level < levels; ++level) {
-    SharedDpfPrg().ExpandBatch(cur, n, /*left=*/next,
-                               /*right=*/next + n * kSeedSize,
-                               /*t_left=*/next_t, /*t_right=*/next_t + n);
-    const CorrectionWord& cw = cws[level];
-    const std::uint64_t cw_lo = lw::LoadLE64(cw.seed);
-    const std::uint64_t cw_hi = lw::LoadLE64(cw.seed + 8);
-    std::uint8_t* const right = next + n * kSeedSize;
-    // The deepest level's seeds are dead — only its control bits feed the
-    // output — so skip their correction and save a full pass over the
-    // largest buffer.
-    if (level + 1 < levels) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::uint64_t mask = 0 - std::uint64_t{cur_t[j]};
-        std::uint8_t* l = next + j * kSeedSize;
-        std::uint8_t* r = right + j * kSeedSize;
-        lw::StoreLE64(l, lw::LoadLE64(l) ^ (cw_lo & mask));
-        lw::StoreLE64(l + 8, lw::LoadLE64(l + 8) ^ (cw_hi & mask));
-        lw::StoreLE64(r, lw::LoadLE64(r) ^ (cw_lo & mask));
-        lw::StoreLE64(r + 8, lw::LoadLE64(r + 8) ^ (cw_hi & mask));
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      next_t[j] = static_cast<std::uint8_t>(next_t[j] ^ (cur_t[j] & cw.t_left));
-      next_t[n + j] =
-          static_cast<std::uint8_t>(next_t[n + j] ^ (cur_t[j] & cw.t_right));
-    }
+    ExpandLevel(cur, cur_t, std::size_t{1} << level, cws[level], next, next_t);
     std::swap(cur, next);
     std::swap(cur_t, next_t);
-    n <<= 1;
   }
 
-  BitVector out((final_n + 63) / 64, 0);
-  for (std::size_t i = 0; i < final_n; ++i) {
-    out[i >> 6] |= std::uint64_t{cur_t[i]} << (i & 63);
+  // Convert the leaves, then transpose 64 leaves × 128 output bits at a
+  // time: row i of the transposed matrix is output bit i of 64 consecutive
+  // leaves, i.e. 64 consecutive points — a whole output word once the tree
+  // has >= 64 leaves, a 2^levels-bit slice of one otherwise.
+  SharedDpfPrg().ConvertBatch(cur, leaves, next);
+  const std::uint64_t out_lo = lw::LoadLE64(output_cw);
+  const std::uint64_t out_hi = lw::LoadLE64(output_cw + 8);
+  const int bits_per_leaf = 1 << (domain_bits - levels);
+  BitVector out(((std::size_t{1} << domain_bits) + 63) / 64, 0);
+  for (std::size_t p0 = 0; p0 < leaves; p0 += 64) {
+    std::uint64_t lo[64] = {}, hi[64] = {};
+    for (std::size_t i = 0; i < std::min<std::size_t>(64, leaves - p0); ++i) {
+      const std::uint64_t mask = 0 - std::uint64_t{cur_t[p0 + i]};
+      const std::uint8_t* leaf = next + (p0 + i) * kSeedSize;
+      lo[i] = lw::LoadLE64(leaf) ^ (out_lo & mask);
+      hi[i] = lw::LoadLE64(leaf + 8) ^ (out_hi & mask);
+    }
+    Transpose64(lo);
+    Transpose64(hi);
+    for (int b = 0; b < bits_per_leaf; ++b) {
+      const std::uint64_t x = p0 + (static_cast<std::uint64_t>(b) << levels);
+      out[x >> 6] |= (b < 64 ? lo[b] : hi[b - 64]) << (x & 63);
+    }
   }
   return out;
 }
@@ -147,76 +174,13 @@ BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seeds,
 void ExpandKeepingSeeds(LW_SECRET Bytes& seeds, Bytes& ts,
                         LW_SECRET const CorrectionWord* cws, int levels) {
   for (int level = 0; level < levels; ++level) {
-    const std::size_t n = ts.size();
-    Bytes next_seeds(2 * n * kSeedSize);
-    Bytes next_ts(2 * n);
-    SharedDpfPrg().ExpandBatch(seeds.data(), n, next_seeds.data(),
-                               next_seeds.data() + n * kSeedSize,
-                               next_ts.data(), next_ts.data() + n);
-    const CorrectionWord& cw = cws[level];
-    for (std::size_t j = 0; j < n; ++j) {
-      MaskedXorSeed(next_seeds.data() + j * kSeedSize, cw.seed, ts[j]);
-      MaskedXorSeed(next_seeds.data() + (n + j) * kSeedSize, cw.seed, ts[j]);
-      next_ts[j] = static_cast<std::uint8_t>(next_ts[j] ^ (ts[j] & cw.t_left));
-      next_ts[n + j] =
-          static_cast<std::uint8_t>(next_ts[n + j] ^ (ts[j] & cw.t_right));
-    }
+    Bytes next_seeds(2 * seeds.size());
+    Bytes next_ts(2 * ts.size());
+    ExpandLevel(seeds.data(), ts.data(), ts.size(), cws[level],
+                next_seeds.data(), next_ts.data());
     seeds = std::move(next_seeds);
     ts = std::move(next_ts);
   }
-}
-
-// Thread-pooled expansion of one root (paper §5.1's "servers can use
-// multiple cores"). Split depth k is chosen so that (a) sub-trees come in
-// blocks of 64 — because the tree consumes point bits LSB-first, sub-tree s
-// covers {x : x mod 2^k == s}, and with 64 | 2^k the leaves of 64
-// consecutive sub-trees tile whole 64-bit words of the packed output
-// (block b owns exactly the words w ≡ b (mod 2^(k-6))), making the workers'
-// writes disjoint word-granular strided copies — and (b) there are at least
-// two blocks per pool thread for handoff balance. The serial top-of-tree
-// expansion is 2^(k+1) PRG calls against 2^(levels+1) total, well under 1%
-// at the paper's domain sizes.
-BitVector ExpandToLeafBitsParallel(LW_SECRET const std::uint8_t* root_seed,
-                                   std::uint8_t root_t,
-                                   LW_SECRET const CorrectionWord* cws,
-                                   int levels, ThreadPool* pool) {
-  const int threads = pool == nullptr ? 1 : pool->thread_count();
-  int k = 7;  // minimum split with >= 2 blocks of 64 sub-trees
-  while (k < 14 && (std::size_t{1} << (k - 6)) < 2 * static_cast<std::size_t>(
-                                                      threads)) {
-    ++k;
-  }
-  if (threads <= 1 || levels < 8) {
-    return ExpandToLeafBits(root_seed, &root_t, 1, cws, levels);
-  }
-  if (k >= levels) k = levels - 1;  // levels >= 8, so k stays >= 7
-
-  Bytes seeds(kSeedSize);
-  std::memcpy(seeds.data(), root_seed, kSeedSize);
-  Bytes ts(1, root_t);
-  ExpandKeepingSeeds(seeds, ts, cws, k);
-
-  const std::size_t blocks = std::size_t{1} << (k - 6);
-  const int remaining = levels - k;
-  const std::size_t words_per_block = std::size_t{1} << remaining;
-  const CorrectionWord* tail = cws + k;
-  BitVector out(std::size_t{1} << (levels - 6));
-
-  pool->ParallelFor(0, blocks, 1, [&](std::size_t b0, std::size_t b1) {
-    for (std::size_t b = b0; b < b1; ++b) {
-      // Block b = sub-trees [64b, 64b + 64). Batch expansion keeps leaf
-      // r + (j << 6) of the 64-root batch at local position r + j*64, i.e.
-      // local word j, bit r — exactly global word b + j*blocks, bit r.
-      const BitVector local =
-          ExpandToLeafBits(seeds.data() + (b << 6) * kSeedSize,
-                           ts.data() + (b << 6), 64, tail, remaining);
-      std::uint64_t* dst = out.data() + b;
-      for (std::size_t j = 0; j < words_per_block; ++j) {
-        dst[j * blocks] = local[j];
-      }
-    }
-  });
-  return out;
 }
 
 }  // namespace
@@ -224,7 +188,8 @@ BitVector ExpandToLeafBitsParallel(LW_SECRET const std::uint8_t* root_seed,
 // ----------------------------------------------------------- serialization
 
 std::size_t DpfKey::SerializedSize() const {
-  return 2 + kSeedSize + correction_words.size() * (kSeedSize + 1);
+  return 2 + kSeedSize + correction_words.size() * (kSeedSize + 1) +
+         kSeedSize;
 }
 
 Bytes DpfKey::Serialize() const {
@@ -232,7 +197,7 @@ Bytes DpfKey::Serialize() const {
   w.U8(party);
   w.U8(domain_bits);
   w.Raw(ByteSpan(root_seed, kSeedSize));
-  WriteCorrectionWords(w, correction_words);
+  WriteCorrectionWords(w, correction_words, output_cw);
   return std::move(w).Take();
 }
 
@@ -245,8 +210,8 @@ Result<DpfKey> DpfKey::Deserialize(ByteSpan data) {
   LW_RETURN_IF_ERROR(CheckDomainBits(key.domain_bits));
   LW_ASSIGN_OR_RETURN(Bytes seed, r.Raw(kSeedSize));
   std::memcpy(key.root_seed, seed.data(), kSeedSize);
-  LW_RETURN_IF_ERROR(
-      ReadCorrectionWords(r, key.domain_bits, key.correction_words));
+  LW_RETURN_IF_ERROR(ReadCorrectionWords(r, key.domain_bits,
+                                         key.correction_words, key.output_cw));
   LW_RETURN_IF_ERROR(r.ExpectEnd());
   return key;
 }
@@ -254,7 +219,9 @@ Result<DpfKey> DpfKey::Deserialize(ByteSpan data) {
 bool DpfKey::operator==(const DpfKey& other) const {
   if (party != other.party || domain_bits != other.domain_bits) return false;
   if (!crypto::ct::Eq(ByteSpan(root_seed, kSeedSize),
-                      ByteSpan(other.root_seed, kSeedSize))) {
+                      ByteSpan(other.root_seed, kSeedSize)) ||
+      !crypto::ct::Eq(ByteSpan(output_cw, kSeedSize),
+                      ByteSpan(other.output_cw, kSeedSize))) {
     return false;
   }
   if (correction_words.size() != other.correction_words.size()) return false;
@@ -271,7 +238,8 @@ bool DpfKey::operator==(const DpfKey& other) const {
 }
 
 std::size_t SubtreeKey::SerializedSize() const {
-  return 3 + kSeedSize + correction_words.size() * (kSeedSize + 1);
+  return 3 + kSeedSize + correction_words.size() * (kSeedSize + 1) +
+         kSeedSize;
 }
 
 Bytes SubtreeKey::Serialize() const {
@@ -280,7 +248,7 @@ Bytes SubtreeKey::Serialize() const {
   w.U8(domain_bits);
   w.U8(t);
   w.Raw(ByteSpan(seed, kSeedSize));
-  WriteCorrectionWords(w, correction_words);
+  WriteCorrectionWords(w, correction_words, output_cw);
   return std::move(w).Take();
 }
 
@@ -297,8 +265,8 @@ Result<SubtreeKey> SubtreeKey::Deserialize(ByteSpan data) {
   if (key.t > 1) return ProtocolError("control bit must be 0 or 1");
   LW_ASSIGN_OR_RETURN(Bytes seed, r.Raw(kSeedSize));
   std::memcpy(key.seed, seed.data(), kSeedSize);
-  LW_RETURN_IF_ERROR(
-      ReadCorrectionWords(r, key.domain_bits, key.correction_words));
+  LW_RETURN_IF_ERROR(ReadCorrectionWords(r, key.domain_bits,
+                                         key.correction_words, key.output_cw));
   LW_RETURN_IF_ERROR(r.ExpectEnd());
   return key;
 }
@@ -309,6 +277,7 @@ KeyPair Generate(LW_SECRET std::uint64_t alpha, int domain_bits) {
   LW_CHECK_MSG(CheckDomainBits(domain_bits).ok(), "invalid domain_bits");
   LW_CHECK_MSG(alpha < (std::uint64_t{1} << domain_bits),
                "alpha outside domain");
+  const int levels = TreeDepth(domain_bits);
 
   KeyPair pair;
   pair.key0.party = 0;
@@ -317,15 +286,15 @@ KeyPair Generate(LW_SECRET std::uint64_t alpha, int domain_bits) {
   pair.key1.domain_bits = static_cast<std::uint8_t>(domain_bits);
   SecureRandomBytes(MutableByteSpan(pair.key0.root_seed, kSeedSize));
   SecureRandomBytes(MutableByteSpan(pair.key1.root_seed, kSeedSize));
-  pair.key0.correction_words.resize(static_cast<std::size_t>(domain_bits));
-  pair.key1.correction_words.resize(static_cast<std::size_t>(domain_bits));
+  pair.key0.correction_words.resize(static_cast<std::size_t>(levels));
+  pair.key1.correction_words.resize(static_cast<std::size_t>(levels));
 
   std::uint8_t s0[kSeedSize], s1[kSeedSize];
   std::memcpy(s0, pair.key0.root_seed, kSeedSize);
   std::memcpy(s1, pair.key1.root_seed, kSeedSize);
   std::uint8_t t0 = 0, t1 = 1;
 
-  for (int level = 0; level < domain_bits; ++level) {
+  for (int level = 0; level < levels; ++level) {
     std::uint8_t l0[kSeedSize], r0[kSeedSize], l1[kSeedSize], r1[kSeedSize];
     std::uint8_t tl0, tr0, tl1, tr1;
     SharedDpfPrg().Expand(s0, l0, r0, &tl0, &tr0);
@@ -372,6 +341,26 @@ KeyPair Generate(LW_SECRET std::uint64_t alpha, int domain_bits) {
     t0 = new_t0;
     t1 = new_t1;
   }
+
+  // At alpha's leaf the parties' control bits differ, so exactly one of
+  // them applies the output word there: conv(s0) ^ conv(s1) ^ e_b, where
+  // e_b is the unit vector at alpha's output bit b. Off-path leaves have
+  // equal seeds and control bits, so their outputs cancel. e_b is built by
+  // a sweep over all 128 positions: b is secret, so it may not address.
+  const std::uint64_t b = alpha >> levels;
+  std::uint64_t e[2] = {0, 0};
+  for (std::uint64_t i = 0; i < 2 * 64; ++i) {
+    e[i >> 6] |= crypto::ct::EqMask(i, b) & (std::uint64_t{1} << (i & 63));
+  }
+  std::uint8_t c0[kSeedSize], c1[kSeedSize];
+  SharedDpfPrg().ConvertBatch(s0, 1, c0);
+  SharedDpfPrg().ConvertBatch(s1, 1, c1);
+  for (int half = 0; half < 2; ++half) {
+    const std::uint64_t word = lw::LoadLE64(c0 + 8 * half) ^
+                               lw::LoadLE64(c1 + 8 * half) ^ e[half];
+    lw::StoreLE64(pair.key0.output_cw + 8 * half, word);
+    lw::StoreLE64(pair.key1.output_cw + 8 * half, word);
+  }
   return pair;
 }
 
@@ -380,12 +369,13 @@ KeyPair Generate(LW_SECRET std::uint64_t alpha, int domain_bits) {
 std::uint8_t EvalPoint(const DpfKey& key, std::uint64_t x) {
   const int d = key.domain_bits;
   LW_CHECK_MSG(x < (std::uint64_t{1} << d), "x outside domain");
+  const int levels = TreeDepth(d);
 
   std::uint8_t s[kSeedSize];
   std::memcpy(s, key.root_seed, kSeedSize);
   std::uint8_t t = key.party;
 
-  for (int level = 0; level < d; ++level) {
+  for (int level = 0; level < levels; ++level) {
     std::uint8_t l[kSeedSize], r[kSeedSize];
     std::uint8_t tl, tr;
     SharedDpfPrg().Expand(s, l, r, &tl, &tr);
@@ -403,23 +393,23 @@ std::uint8_t EvalPoint(const DpfKey& key, std::uint64_t x) {
     std::memcpy(s, new_s, kSeedSize);
     t = new_t;
   }
-  return t;
+
+  std::uint8_t out[kSeedSize];
+  SharedDpfPrg().ConvertBatch(s, 1, out);
+  MaskedXorSeed(out, key.output_cw, t);
+  const std::uint64_t b = x >> levels;
+  return static_cast<std::uint8_t>(
+      (lw::LoadLE64(out + 8 * (b >> 6)) >> (b & 63)) & 1);
 }
 
 BitVector EvalFull(const DpfKey& key) {
-  const std::uint8_t root_t = key.party;
-  return ExpandToLeafBits(key.root_seed, &root_t, 1,
-                          key.correction_words.data(), key.domain_bits);
-}
-
-BitVector EvalFullParallel(const DpfKey& key, ThreadPool* pool) {
-  return ExpandToLeafBitsParallel(key.root_seed, key.party,
-                                  key.correction_words.data(),
-                                  key.domain_bits, pool);
+  return ExpandToLeafBits(key.root_seed, key.party,
+                          key.correction_words.data(), key.output_cw,
+                          key.domain_bits);
 }
 
 std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits) {
-  LW_CHECK_MSG(top_bits >= 0 && top_bits <= key.domain_bits,
+  LW_CHECK_MSG(top_bits >= 0 && top_bits <= TreeDepth(key.domain_bits),
                "top_bits out of range");
   Bytes seeds(kSeedSize);
   std::memcpy(seeds.data(), key.root_seed, kSeedSize);
@@ -438,18 +428,14 @@ std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits) {
     std::memcpy(out[s].seed, seeds.data() + s * kSeedSize, kSeedSize);
     out[s].t = ts[s];
     out[s].correction_words = tail;
+    std::memcpy(out[s].output_cw, key.output_cw, kSeedSize);
   }
   return out;
 }
 
 BitVector EvalSubtree(const SubtreeKey& key) {
-  return ExpandToLeafBits(key.seed, &key.t, 1, key.correction_words.data(),
-                          key.domain_bits);
-}
-
-BitVector EvalSubtreeParallel(const SubtreeKey& key, ThreadPool* pool) {
-  return ExpandToLeafBitsParallel(key.seed, key.t, key.correction_words.data(),
-                                  key.domain_bits, pool);
+  return ExpandToLeafBits(key.seed, key.t, key.correction_words.data(),
+                          key.output_cw, key.domain_bits);
 }
 
 }  // namespace lw::dpf

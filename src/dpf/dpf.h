@@ -1,5 +1,5 @@
 // Two-party distributed point functions (DPFs), tree construction of
-// Boyle–Gilboa–Ishai (CCS'16) with single-bit outputs.
+// Boyle–Gilboa–Ishai (CCS'16) with early termination.
 //
 // A DPF splits the point function f_alpha (f_alpha(alpha)=1, 0 elsewhere,
 // over domain {0,...,2^d - 1}) into two keys. Each key alone reveals nothing
@@ -9,12 +9,16 @@
 // together the records whose evaluation bit is 1; the XOR of the two answers
 // is the record at alpha.
 //
-// Key size is Θ((λ+2)·d) bits (λ = 128), matching the paper's §5.1
-// communication analysis. Full-domain evaluation costs 2^d PRG expansions,
-// which is the "DPF evaluation" half of the paper's per-request server
-// compute; the module also implements the §5.2 front-end/data-server split
-// where the top of the tree is evaluated once and sub-tree roots are shipped
-// to shards.
+// Early termination (BGI16 §3.2.2): the tree stops kLeafBits = 7 levels
+// short of single-bit leaves. Each of its 2^(d-7) leaf seeds becomes 128
+// output bits through fixed-key AES-MMO, XORed with one output correction
+// word wherever the leaf's control bit is set. A key is therefore
+// (λ+2)·(d−7) + 2λ bits (λ = 128; 289 bytes at d = 22), and full-domain
+// evaluation costs ~3·2^(d-7) AES calls over buffers that fit in L2 — the
+// "DPF evaluation" half of the paper's §5.1 per-request server compute.
+// The module also implements the §5.2 front-end/data-server split, where
+// the top of the tree is evaluated once and sub-tree roots are shipped to
+// shards.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +28,20 @@
 #include "util/bytes.h"
 #include "util/status.h"
 
-namespace lw {
-class ThreadPool;
-}
-
 namespace lw::dpf {
 
 inline constexpr std::size_t kSeedSize = 16;
 inline constexpr int kMaxDomainBits = 40;
 inline constexpr int kLambdaBits = 128;  // PRG seed length (security param)
+// Output bits below each tree leaf: a leaf seed converts to 2^kLeafBits =
+// kLambdaBits output bits.
+inline constexpr int kLeafBits = 7;
+
+// Levels of the tree over a 2^domain_bits domain (zero when the whole
+// domain fits in one leaf's output).
+inline constexpr int TreeDepth(int domain_bits) {
+  return domain_bits > kLeafBits ? domain_bits - kLeafBits : 0;
+}
 
 // Per-level correction word: a seed plus one control-bit correction per side.
 // One correction word alone is secret-correlated with alpha (it is the XOR
@@ -46,12 +55,15 @@ struct CorrectionWord {
 // One party's share of the DPF. Level i of the tree consumes bit i of the
 // evaluation point (least-significant first): with levels laid out as
 // [left children || right children], the PRG's batch output lands directly
-// in place and leaf p still ends up at array position p.
+// in place and leaf p still ends up at array position p. Leaf p's output
+// bit b is the share at x = p + b·2^TreeDepth(d).
 struct DpfKey {
   std::uint8_t party = 0;        // 0 or 1
   std::uint8_t domain_bits = 0;  // d; domain size is 2^d
   LW_SECRET std::uint8_t root_seed[kSeedSize] = {};
-  std::vector<CorrectionWord> correction_words;  // d entries
+  std::vector<CorrectionWord> correction_words;  // TreeDepth(d) entries
+  // Leaf output correction: conv(s0) ^ conv(s1) ^ e_b at alpha's leaf.
+  LW_SECRET std::uint8_t output_cw[kSeedSize] = {};
 
   std::size_t SerializedSize() const;
   Bytes Serialize() const;
@@ -82,20 +94,9 @@ inline std::uint8_t GetBit(const BitVector& bits, std::uint64_t i) {
 }
 
 // Full-domain evaluation: all 2^d share bits, breadth-first (two AES batch
-// calls per level over contiguous buffers).
+// calls per level, one more to convert the leaves). Serial; servers
+// parallelize across a batch's keys instead (zltp::PirStore::ExpandBatch).
 BitVector EvalFull(const DpfKey& key);
-
-// Multi-core full-domain evaluation; bit-identical to EvalFull. The top
-// k >= 7 tree levels are expanded once on the caller (cheap), then the
-// 2^k sub-trees are evaluated on the pool in blocks of 64. Because level i
-// consumes evaluation-point bit i (LSB first), sub-tree s covers the
-// residue class {x : x mod 2^k == s} — its leaves interleave through the
-// output with stride 2^k — but a block of 64 consecutive sub-trees owns
-// whole 64-bit output words (words w ≡ block (mod 2^(k-6))), so workers
-// write disjoint words of the shared result with no synchronization.
-// Serial fallback (== EvalFull) when pool is null, single-threaded, or the
-// domain is too small to split (d < 8).
-BitVector EvalFullParallel(const DpfKey& key, ThreadPool* pool);
 
 // ------------------------------------------------------------------------
 // Distributed evaluation (paper §5.2, "Distributing DPF evaluation").
@@ -108,10 +109,11 @@ BitVector EvalFullParallel(const DpfKey& key, ThreadPool* pool);
 
 struct SubtreeKey {
   std::uint8_t party = 0;
-  std::uint8_t domain_bits = 0;  // remaining depth below this root
+  std::uint8_t domain_bits = 0;  // remaining output bits below this root
   LW_SECRET std::uint8_t seed[kSeedSize] = {};
   std::uint8_t t = 0;  // control bit at the sub-tree root
-  std::vector<CorrectionWord> correction_words;  // remaining levels
+  std::vector<CorrectionWord> correction_words;  // TreeDepth(domain_bits)
+  LW_SECRET std::uint8_t output_cw[kSeedSize] = {};  // the key's output word
 
   std::size_t SerializedSize() const;
   Bytes Serialize() const;
@@ -121,15 +123,11 @@ struct SubtreeKey {
 // Splits a key into 2^top_bits sub-tree keys. Because the tree consumes
 // evaluation-point bits LSB-first, shard s covers the residue class
 // { x : x mod 2^top_bits == s }, and leaf j of shard s is the point
-// x = s + (j << top_bits). Requires 0 <= top_bits <= domain_bits.
+// x = s + (j << top_bits). Requires 0 <= top_bits <= TreeDepth(domain_bits):
+// the split happens inside the tree, above the converted leaves.
 std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits);
 
 // Evaluates all 2^domain_bits leaves under a sub-tree root.
 BitVector EvalSubtree(const SubtreeKey& key);
-
-// Multi-core EvalSubtree (same scheme and fallbacks as EvalFullParallel):
-// a data server answering §5.2 sub-tree queries parallelizes exactly like a
-// monolithic server.
-BitVector EvalSubtreeParallel(const SubtreeKey& key, ThreadPool* pool);
 
 }  // namespace lw::dpf

@@ -17,9 +17,12 @@ Result<Bytes> CombineAnswers(ByteSpan answer0, ByteSpan answer1) {
 }
 
 std::size_t QueryUploadBytes(int domain_bits) {
-  // party + domain_bits + 16-byte root seed + d * (16-byte CW + t bits).
+  // party + domain_bits + 16-byte root seed + (d-7) * (16-byte CW + t bits)
+  // + 16-byte output word.
   return 2 + dpf::kSeedSize +
-         static_cast<std::size_t>(domain_bits) * (dpf::kSeedSize + 1);
+         static_cast<std::size_t>(dpf::TreeDepth(domain_bits)) *
+             (dpf::kSeedSize + 1) +
+         dpf::kSeedSize;
 }
 
 std::size_t TotalCommunicationBytes(int domain_bits,

@@ -16,6 +16,28 @@
 namespace lw::zltp {
 namespace {
 
+// Sub-tree keys split the DPF tree, which ends dpf::kLeafBits above the
+// domain, so a topology may split no deeper than the tree goes.
+void CheckTopology(const ShardTopology& topology) {
+  LW_CHECK_MSG(topology.top_bits >= 0 &&
+                   topology.top_bits <= dpf::TreeDepth(topology.domain_bits),
+               "top_bits out of range for the DPF tree");
+}
+
+// The front-end's hello check, shared by both serving models: a peer on
+// another protocol version cannot parse our DPF keys (PROTOCOL_ERROR); one
+// without two-server PIR has nothing to ask us (FAILED_PRECONDITION).
+Status CheckFrontEndHello(const Result<ClientHello>& hello) {
+  if (!hello.ok()) return hello.status();
+  if (hello->version != kProtocolVersion) {
+    return ProtocolError("unsupported protocol version");
+  }
+  for (Mode m : hello->supported_modes) {
+    if (m == Mode::kTwoServerPir) return Status::Ok();
+  }
+  return FailedPreconditionError("front-end requires two-server-pir mode");
+}
+
 void SendErrorFrame(net::Transport& t, StatusCode code,
                     const std::string& msg) {
   ErrorMsg e;
@@ -44,6 +66,7 @@ ShardDataServer::ShardDataServer(const ShardTopology& topology,
       pool_(num_threads == 1 ? nullptr
                              : std::make_unique<ThreadPool>(num_threads)),
       db_(topology.shard_domain_bits(), topology.record_size) {
+  CheckTopology(topology);
   LW_CHECK_MSG(shard_index < topology.shard_count(), "shard index range");
 }
 
@@ -84,7 +107,7 @@ Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
     return ProtocolError("sub-tree key has wrong depth for this shard");
   }
   const auto expand_start = obs::TraceNow();
-  const dpf::BitVector bits = dpf::EvalSubtreeParallel(key, pool_.get());
+  const dpf::BitVector bits = dpf::EvalSubtree(key);
   const std::uint64_t expand_ns = obs::ElapsedNs(expand_start);
   obs::M().dpf_expand_ns.Observe(expand_ns);
   obs::AddExpandNs(expand_ns);
@@ -232,7 +255,9 @@ class ShardFanout::Mux {
   Mux(const ShardTopology& topology, FanoutOptions options)
       : topology_(topology),
         options_(std::move(options)),
-        clock_(options_.clock != nullptr ? options_.clock : &Clock::Real()) {}
+        clock_(options_.clock != nullptr ? options_.clock : &Clock::Real()) {
+    CheckTopology(topology_);
+  }
 
   ~Mux() { Shutdown(); }
 
@@ -586,13 +611,16 @@ class TransportLink final : public ShardFanout::Mux::Link {
       // it keeps only this writer busy, and Shutdown's Close unblocks it.
       const Status s = t->Send(frame, net::Deadline::Infinite());
       if (!s.ok()) {
+        // A failed send may leave the stream mid-frame: reset the link
+        // first, so that an op admitted once this one's caller learns of
+        // the failure queues for the fresh stream instead of being cleared
+        // and failed along with the dead one.
+        Reset(t, s);
         // The op cannot complete (this shard never saw its sub-query) —
         // fail it directly rather than relying on Reset's OnLinkDown,
         // which no-ops if another thread already swapped the transport.
         // Replies other shards already owe the op become stale drops.
         mux_->FailOp(op_id, index_, s);
-        // A failed send may leave the stream mid-frame: reset the link.
-        Reset(t, s);
       }
       lock.lock();
     }
@@ -893,19 +921,9 @@ void FrontEndServer::ServeConnection(net::Transport& transport) {
   // Standard ZLTP hello.
   auto frame = transport.Receive(net::Deadline::Infinite());
   if (!frame.ok()) return;
-  auto hello = DecodeClientHello(*frame);
-  if (!hello.ok()) {
-    SendErrorFrame(transport, StatusCode::kProtocolError,
-                   hello.status().message());
-    return;
-  }
-  bool supports_pir = false;
-  for (Mode m : hello->supported_modes) {
-    supports_pir |= (m == Mode::kTwoServerPir);
-  }
-  if (hello->version != kProtocolVersion || !supports_pir) {
-    SendErrorFrame(transport, StatusCode::kFailedPrecondition,
-                   "front-end requires two-server-pir mode");
+  if (const Status bad = CheckFrontEndHello(DecodeClientHello(*frame));
+      !bad.ok()) {
+    SendErrorFrame(transport, bad.code(), bad.message());
     return;
   }
   ServerHello server_hello;
@@ -989,17 +1007,9 @@ Status FrontEndServer::ServeOnReactor(net::Reactor& reactor,
   handler.on_frame = [this, awaiting_hello, &reactor](net::Reactor::ConnId id,
                                                       net::Frame frame) {
     if (awaiting_hello->erase(id) > 0) {
-      auto hello = DecodeClientHello(frame);
-      bool supports_pir = false;
-      if (hello.ok()) {
-        for (Mode m : hello->supported_modes) {
-          supports_pir |= (m == Mode::kTwoServerPir);
-        }
-      }
-      if (!hello.ok() || hello->version != kProtocolVersion ||
-          !supports_pir) {
-        SendErrorFrameTo(reactor, id, StatusCode::kFailedPrecondition,
-                         "front-end requires two-server-pir mode");
+      if (const Status bad = CheckFrontEndHello(DecodeClientHello(frame));
+          !bad.ok()) {
+        SendErrorFrameTo(reactor, id, bad.code(), bad.message());
         reactor.CloseAfterFlush(id);
         return;
       }

@@ -43,7 +43,9 @@ namespace lw::zltp {
 
 struct ShardTopology {
   int domain_bits = 22;       // full universe domain
-  int top_bits = 2;           // 2^top_bits shards
+  // 2^top_bits shards; at most dpf::TreeDepth(domain_bits), which the
+  // shard server and fan-out constructors check (InvariantViolation).
+  int top_bits = 2;
   std::size_t record_size = 4096;
 
   int shard_domain_bits() const { return domain_bits - top_bits; }
@@ -52,10 +54,10 @@ struct ShardTopology {
 
 class ShardDataServer {
  public:
-  // `num_threads` drives the shard's sub-tree DPF expansion and XOR scan
-  // through a private pool (0 = hardware_concurrency(), 1 = serial; the
-  // default stays serial because deployments typically pack one shard per
-  // small instance — paper §5.2).
+  // `num_threads` drives the shard's XOR scan through a private pool
+  // (0 = hardware_concurrency(), 1 = serial; the default stays serial
+  // because deployments typically pack one shard per small instance —
+  // paper §5.2). Each sub-tree key expands serially.
   ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
                   int num_threads = 1);
   ~ShardDataServer();

@@ -17,7 +17,9 @@
 
 namespace lw::zltp {
 
-inline constexpr std::uint16_t kProtocolVersion = 1;
+// Version 2 carries early-terminated DPF keys (docs/PROTOCOL.md); peers on
+// any other version are refused at the hello.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 
 enum class MsgType : std::uint8_t {
   kClientHello = 1,

@@ -8,6 +8,7 @@
 #include "pir/packing.h"
 #include "util/check.h"
 #include "util/rand.h"
+#include "util/thread_pool.h"
 
 namespace lw::zltp {
 namespace {
@@ -25,8 +26,10 @@ PirStore::PirStore(PirStoreConfig config)
     : config_(Normalize(std::move(config))),
       shard_bits_(config_.domain_bits - config_.shard_top_bits),
       registry_(config_.keyword_seed, config_.domain_bits) {
+  // Shards split the DPF tree, which ends dpf::kLeafBits above the domain.
   LW_CHECK_MSG(config_.shard_top_bits >= 0 &&
-                   config_.shard_top_bits < config_.domain_bits,
+                   config_.shard_top_bits <=
+                       dpf::TreeDepth(config_.domain_bits),
                "shard_top_bits out of range");
   LW_CHECK_MSG(config_.record_size > pir::kRecordHeaderSize,
                "record_size too small for packing header");
@@ -108,7 +111,7 @@ Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
   std::uint64_t expand_ns = 0;  // summed over shards, one sample per query
   if (shards_.size() == 1) {
     const auto t0 = obs::TraceNow();
-    const dpf::BitVector bits = dpf::EvalFullParallel(key, pool);
+    const dpf::BitVector bits = dpf::EvalFull(key);
     expand_ns = obs::ElapsedNs(t0);
     obs::M().dpf_expand_ns.Observe(expand_ns);
     obs::AddExpandNs(expand_ns);
@@ -121,7 +124,7 @@ Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
   Bytes shard_answer(config_.record_size);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto t0 = obs::TraceNow();
-    const dpf::BitVector bits = dpf::EvalSubtreeParallel(subkeys[s], pool);
+    const dpf::BitVector bits = dpf::EvalSubtree(subkeys[s]);
     expand_ns += obs::ElapsedNs(t0);
     shards_[s]->Answer(bits, shard_answer, pool);
     XorInto(out, shard_answer);
@@ -152,17 +155,26 @@ Result<PirStore::ExpandedBatch> PirStore::ExpandBatch(
   out.query_count = keys.size();
   out.shard_bits.resize(shards_.size());
   for (auto& per_shard : out.shard_bits) per_shard.resize(keys.size());
-  for (std::size_t q = 0; q < keys.size(); ++q) {
-    if (shards_.size() == 1) {
-      out.shard_bits[0][q] = dpf::EvalFullParallel(keys[q], pool);
-    } else {
+  // One key per task: a key expands serially in L2-sized buffers, so the
+  // batch's keys are the unit of parallelism.
+  const auto expand_keys = [&](std::size_t q0, std::size_t q1) {
+    for (std::size_t q = q0; q < q1; ++q) {
+      if (shards_.size() == 1) {
+        out.shard_bits[0][q] = dpf::EvalFull(keys[q]);
+        continue;
+      }
       // §5.2: expand the top of the tree once, then each shard's sub-tree.
       const auto subkeys =
           dpf::SplitForShards(keys[q], config_.shard_top_bits);
       for (std::size_t s = 0; s < shards_.size(); ++s) {
-        out.shard_bits[s][q] = dpf::EvalSubtreeParallel(subkeys[s], pool);
+        out.shard_bits[s][q] = dpf::EvalSubtree(subkeys[s]);
       }
     }
+  };
+  if (pool == nullptr) {
+    expand_keys(0, keys.size());
+  } else {
+    pool->ParallelFor(0, keys.size(), 1, expand_keys);
   }
   const std::uint64_t expand_ns = obs::ElapsedNs(t0);
   obs::M().dpf_expand_ns.Observe(expand_ns);

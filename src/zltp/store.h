@@ -32,7 +32,8 @@ struct PirStoreConfig {
   int domain_bits = 22;          // paper §5.1 default
   std::size_t record_size = 4096;  // paper's 4 KiB data blobs
   Bytes keyword_seed;            // 16 bytes; random if empty
-  int shard_top_bits = 0;        // 2^shard_top_bits data shards
+  // 2^shard_top_bits data shards; at most dpf::TreeDepth(domain_bits).
+  int shard_top_bits = 0;
 };
 
 class PirStore {
@@ -57,8 +58,8 @@ class PirStore {
   std::size_t stored_bytes() const;
 
   // Answers one PIR query (full scan). The DPF key's domain must match.
-  // A non-null pool parallelizes the DPF expansion and the data scan
-  // across its workers (identical answers either way).
+  // A non-null pool parallelizes the data scan across its workers
+  // (identical answers either way); the key expands serially.
   Result<Bytes> AnswerQuery(const dpf::DpfKey& key,
                             ThreadPool* pool = nullptr) const;
 
@@ -77,8 +78,9 @@ class PirStore {
   };
 
   // Stage 1: evaluates every key's DPF (full-domain, or per-shard sub-trees
-  // when sharded). Pure compute over immutable config — takes no store
-  // lock, so it runs concurrently with a ScanBatch of another batch.
+  // when sharded), one key per pool task. Pure compute over immutable
+  // config — takes no store lock, so it runs concurrently with a ScanBatch
+  // of another batch.
   Result<ExpandedBatch> ExpandBatch(const std::vector<dpf::DpfKey>& keys,
                                     ThreadPool* pool = nullptr) const;
 

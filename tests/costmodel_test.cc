@@ -31,8 +31,8 @@ TEST(CostModel, ReproducesTable2C4Row) {
   EXPECT_NEAR(e.usd_per_request_system, 0.002, 0.0006);
   // Download: two 4 KiB buckets.
   EXPECT_NEAR(e.download_kib, 8.0, 0.01);
-  // Our DPF keys are (λ+2)·d BITS (~0.4 KiB each); the paper's library
-  // ships ~2.8 KiB keys. Check our own accounting, not theirs.
+  // Our DPF keys are (λ+2)·(d−7) + 2λ BITS (289 B each); the paper's
+  // library ships ~2.8 KiB keys. Check our own accounting, not theirs.
   EXPECT_GT(e.upload_kib, 0.5);
   EXPECT_LT(e.upload_kib, 2.0);
   EXPECT_NEAR(e.total_comm_kib, e.upload_kib + e.download_kib, 1e-9);

@@ -1,6 +1,8 @@
 // DPF tests: correctness over full domains, point/full-eval agreement,
 // sharded (distributed) evaluation, serialization, and key-privacy
-// structure. Parameterized sweeps cover domain sizes 1..14 bits.
+// structure. Parameterized sweeps cover domain sizes 1..15 bits, on both
+// sides of d = kLeafBits, below which the early-terminated tree is just its
+// root.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,7 +10,6 @@
 
 #include "dpf/dpf.h"
 #include "util/rand.h"
-#include "util/thread_pool.h"
 
 namespace lw::dpf {
 namespace {
@@ -113,15 +114,16 @@ TEST(Dpf, FreshKeysDiffer) {
 }
 
 TEST(Dpf, KeySizeIndependentOfAlpha) {
-  // (λ+2)·d-bit keys: size must leak nothing about alpha (paper §5.1).
+  // (λ+2)·(d−7) + 2λ-bit keys: size must leak nothing about alpha (paper
+  // §5.1).
   const auto size_for = [](std::uint64_t alpha) {
     return Generate(alpha, 22).key0.Serialize().size();
   };
   const std::size_t s = size_for(0);
   EXPECT_EQ(s, size_for(123456));
   EXPECT_EQ(s, size_for((1u << 22) - 1));
-  // 2 bytes header + 16-byte seed + d * 17 bytes.
-  EXPECT_EQ(s, 2 + 16 + 22 * 17);
+  // 2 bytes header + 16-byte seed + (d−7) * 17 bytes + 16-byte output word.
+  EXPECT_EQ(s, 2 + 16 + 15 * 17 + 16);
 }
 
 TEST(Dpf, SerializeDeserializeRoundTrip) {
@@ -165,22 +167,26 @@ TEST(Dpf, DeserializeRejectsOutOfRangeDomainBits) {
   // Pre-fix, domain_bits outside [1, kMaxDomainBits] deserialized fine and
   // blew up later: 0 made EvalFull return an empty vector others indexed
   // into, 41+ asked for a 2^41-bit allocation from attacker-chosen input.
-  const Bytes zero_bits(2 + kSeedSize, 0);  // party 0, domain_bits 0, seed
+  // party 0, domain_bits 0, root seed, no CWs, output word.
+  const Bytes zero_bits(2 + 2 * kSeedSize, 0);
   EXPECT_FALSE(DpfKey::Deserialize(zero_bits).ok()) << "domain_bits 0";
 
   Bytes too_big;
   too_big.push_back(0);   // party
   too_big.push_back(41);  // domain_bits > kMaxDomainBits
-  too_big.resize(too_big.size() + kSeedSize);          // root seed
-  too_big.resize(too_big.size() + 41 * (kSeedSize + 1));  // 41 CWs
+  too_big.resize(too_big.size() + kSeedSize);             // root seed
+  too_big.resize(too_big.size() + 34 * (kSeedSize + 1));  // 41 - 7 CWs
+  too_big.resize(too_big.size() + kSeedSize);             // output word
   EXPECT_FALSE(DpfKey::Deserialize(too_big).ok()) << "domain_bits 41";
 }
 
 TEST(Dpf, DeserializeRejectsBadCorrectionWordBits) {
   // The per-level t-bit pair packs into 2 bits; anything above 3 means the
   // bytes were not produced by Serialize().
-  Bytes wire = Generate(3, 4).key0.Serialize();
-  wire[wire.size() - 1] = 4;  // last CW's packed bits
+  Bytes wire = Generate(3, 9).key0.Serialize();
+  ASSERT_TRUE(DpfKey::Deserialize(wire).ok());
+  // The last CW's packed bits sit just before the 16-byte output word.
+  wire[wire.size() - kSeedSize - 1] = 4;
   EXPECT_FALSE(DpfKey::Deserialize(wire).ok());
 }
 
@@ -219,11 +225,24 @@ TEST_P(DpfShardTest, ShardedEvalMatchesFullEval) {
   }
 }
 
+// Every split sits inside the tree: top_bits <= TreeDepth(d) = d - 7.
 INSTANTIATE_TEST_SUITE_P(
     Splits, DpfShardTest,
-    ::testing::Values(std::tuple{8, 0}, std::tuple{8, 1}, std::tuple{8, 3},
-                      std::tuple{8, 8}, std::tuple{12, 4},
+    ::testing::Values(std::tuple{8, 0}, std::tuple{8, 1}, std::tuple{10, 3},
+                      std::tuple{15, 8}, std::tuple{12, 4},
                       std::tuple{14, 6}));
+
+TEST(DpfShard, SplitBelowTheTreeThrows) {
+  // The tree ends kLeafBits above the domain; splitting any deeper would
+  // cut through a converted leaf.
+  const KeyPair pair = Generate(5, 10);
+  EXPECT_THROW(SplitForShards(pair.key0, 4), InvariantViolation);
+  EXPECT_THROW(SplitForShards(pair.key0, 10), InvariantViolation);
+  EXPECT_THROW(SplitForShards(pair.key0, -1), InvariantViolation);
+  EXPECT_THROW(SplitForShards(Generate(5, 6).key0, 1), InvariantViolation);
+  EXPECT_EQ(SplitForShards(pair.key0, 3).size(), 8u);
+  EXPECT_EQ(SplitForShards(Generate(5, 6).key0, 0).size(), 1u);
+}
 
 TEST(DpfShard, TwoPartyShardedStillPointFunction) {
   // Shard both parties' keys, evaluate shard-wise, and confirm the XOR is
@@ -251,7 +270,7 @@ TEST(DpfShard, TwoPartyShardedStillPointFunction) {
 }
 
 TEST(DpfShard, SubtreeKeySerializationRoundTrip) {
-  const KeyPair pair = Generate(100, 10);
+  const KeyPair pair = Generate(100, 11);
   const auto shards = SplitForShards(pair.key0, 4);
   for (const SubtreeKey& sk : shards) {
     const Bytes wire = sk.Serialize();
@@ -270,52 +289,45 @@ TEST(DpfShard, SubtreeKeySmallerThanFullKey) {
   EXPECT_LT(shards[0].SerializedSize(), pair.key0.SerializedSize());
 }
 
-// ------------------------------------------------------- parallel eval
+// ------------------------------------------------- exhaustive small domains
 //
-// EvalFullParallel must be bit-identical to EvalFull for every pool size:
-// the sub-tree tiling (blocks of 64 sub-trees own whole output words) is a
-// pure layout transformation. Swept over thread counts x domain sizes,
-// including domains far below the parallel threshold (serial fallback) and
-// large enough ones that several blocks land on each worker.
+// Every alpha, every point, every evaluator: EvalPoint, EvalFull and each
+// legal split's EvalSubtree must agree bit for bit, and the two parties'
+// shares must XOR to the point function. d runs across kLeafBits, so this
+// covers trees of depth 0 (one converted root), 1 and 2, where leaves fill
+// less than one output word.
 
-class DpfParallelTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(DpfParallelTest, EvalFullParallelMatchesSerial) {
-  const auto [threads, d] = GetParam();
-  ThreadPool pool(threads);
-  const std::uint64_t domain = std::uint64_t{1} << d;
-  Rng rng(static_cast<std::uint64_t>(threads * 1000 + d));
-  const std::uint64_t alpha = rng.UniformInt(domain);
-  const KeyPair pair = Generate(alpha, d);
-  for (const DpfKey* key : {&pair.key0, &pair.key1}) {
-    EXPECT_EQ(EvalFullParallel(*key, &pool), EvalFull(*key))
-        << "threads=" << threads << " d=" << d;
-    // Null pool must behave exactly like the serial path too.
-    EXPECT_EQ(EvalFullParallel(*key, nullptr), EvalFull(*key));
-  }
-}
-
-TEST_P(DpfParallelTest, EvalSubtreeParallelMatchesSerial) {
-  const auto [threads, d] = GetParam();
-  ThreadPool pool(threads);
-  const std::uint64_t domain = std::uint64_t{1} << d;
-  Rng rng(static_cast<std::uint64_t>(threads * 31 + d));
-  const std::uint64_t alpha = rng.UniformInt(domain);
-  const KeyPair pair = Generate(alpha, d);
-  const int top_bits = d >= 4 ? 2 : 0;
-  for (const DpfKey* key : {&pair.key0, &pair.key1}) {
-    const std::vector<SubtreeKey> shards = SplitForShards(*key, top_bits);
-    for (const SubtreeKey& sk : shards) {
-      EXPECT_EQ(EvalSubtreeParallel(sk, &pool), EvalSubtree(sk))
-          << "threads=" << threads << " d=" << d;
+TEST(DpfExhaustive, EveryAlphaEveryPointEveryEvaluator) {
+  for (int d = 1; d <= 9; ++d) {
+    const std::uint64_t domain = std::uint64_t{1} << d;
+    for (std::uint64_t alpha = 0; alpha < domain; ++alpha) {
+      const KeyPair pair = Generate(alpha, d);
+      const BitVector full0 = EvalFull(pair.key0);
+      const BitVector full1 = EvalFull(pair.key1);
+      for (std::uint64_t x = 0; x < domain; ++x) {
+        const std::uint8_t b0 = GetBit(full0, x);
+        const std::uint8_t b1 = GetBit(full1, x);
+        ASSERT_EQ(EvalPoint(pair.key0, x), b0) << "d=" << d << " x=" << x;
+        ASSERT_EQ(EvalPoint(pair.key1, x), b1) << "d=" << d << " x=" << x;
+        ASSERT_EQ(b0 ^ b1, x == alpha ? 1 : 0)
+            << "d=" << d << " alpha=" << alpha << " x=" << x;
+      }
+      for (int top = 0; top <= TreeDepth(d); ++top) {
+        for (const auto& [key, full] :
+             {std::pair{&pair.key0, &full0}, std::pair{&pair.key1, &full1}}) {
+          const std::vector<SubtreeKey> shards = SplitForShards(*key, top);
+          for (std::size_t s = 0; s < shards.size(); ++s) {
+            const BitVector sub = EvalSubtree(shards[s]);
+            for (std::uint64_t j = 0; j < (domain >> top); ++j) {
+              ASSERT_EQ(GetBit(sub, j), GetBit(*full, s + (j << top)))
+                  << "d=" << d << " top=" << top << " shard " << s;
+            }
+          }
+        }
+      }
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(PoolsAndDomains, DpfParallelTest,
-                         ::testing::Combine(::testing::Values(1, 2, 3, 8),
-                                            ::testing::Values(1, 5, 12, 18)));
 
 }  // namespace
 }  // namespace lw::dpf

@@ -6,6 +6,7 @@
 
 #include <thread>
 
+#include "net/reactor.h"
 #include "net/tcp.h"
 #include "net/transport.h"
 #include "pir/keyword.h"
@@ -172,6 +173,52 @@ TEST(FrontEnd, RejectsEnclaveOnlyClient) {
   auto reply = pair.a->Receive();
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(DecodeError(*reply).ok());
+}
+
+// A client on protocol version 1 would send single-bit-leaf DPF keys: the
+// front-end refuses it at the hello on both serving models.
+void ExpectVersion1HelloRefused(net::Transport& client) {
+  ClientHello hello;
+  hello.version = 1;
+  hello.supported_modes = {Mode::kTwoServerPir};
+  ASSERT_TRUE(client.Send(Encode(hello)).ok());
+  auto reply = client.Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto error = DecodeError(*reply);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->code, StatusCode::kProtocolError);
+}
+
+TEST(FrontEnd, RejectsVersion1HelloOnBothDrivers) {
+  Deployment deployment;
+  FrontEndServer threaded(0, deployment.keyword_seed,
+                          deployment.MakeFanout());
+  net::TransportPair pair = net::CreateInMemoryPair();
+  threaded.ServeConnectionDetached(std::move(pair.b));
+  ExpectVersion1HelloRefused(*pair.a);
+
+  net::Reactor reactor;
+  FrontEndServer reactored(0, deployment.keyword_seed,
+                           deployment.MakeFanout());
+  auto listener = net::TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  const std::uint16_t port = listener->bound_port();
+  ASSERT_TRUE(reactored.ServeOnReactor(reactor, std::move(*listener)).ok());
+  ASSERT_TRUE(reactor.Start().ok());
+  auto client = net::TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  ExpectVersion1HelloRefused(**client);
+  EXPECT_FALSE((*client)->Receive().ok());  // error, then hang up
+  reactor.Stop();
+}
+
+TEST(FrontEnd, TopologySplitBelowTheTreeIsRejected) {
+  // Sub-tree keys split the DPF tree, which ends dpf::kLeafBits above the
+  // domain: a 2^12 domain splits at most 5 levels deep.
+  ShardTopology topology = SmallTopology();
+  topology.top_bits = 6;
+  EXPECT_THROW(ShardDataServer(topology, 0), InvariantViolation);
+  EXPECT_THROW(ShardFanout(topology, {}), InvariantViolation);
 }
 
 TEST(FrontEnd, ShardsOverTcp) {

@@ -178,5 +178,22 @@ TEST(FuzzRegressions, DpfKeyRangeAndTrailingChecks) {
   EXPECT_TRUE(good.ok()) << good.status().ToString();
 }
 
+TEST(FuzzRegressions, DpfKeyCorrectionWordBitsAndOldFormatRejected) {
+  // A d=8 key whose one correction word packs control bits 4.
+  EXPECT_FALSE(
+      dpf::DpfKey::Deserialize(ReadCorpusFile("dpf/regression-cwbits4.bin"))
+          .ok());
+  // A d=22 key at the 392-byte length of the protocol-1 layout (22
+  // correction words, no output word) must not parse as an
+  // early-terminated key.
+  const Bytes v1 = ReadCorpusFile("dpf/regression-v1-length-d22.bin");
+  ASSERT_EQ(v1.size(), 392u);
+  EXPECT_FALSE(dpf::DpfKey::Deserialize(v1).ok());
+  const auto good = dpf::DpfKey::Deserialize(
+      ReadCorpusFile("dpf/seed-key-d9.bin"));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->correction_words.size(), 2u);
+}
+
 }  // namespace
 }  // namespace lw

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "pir/blob_db.h"
@@ -475,6 +476,11 @@ TEST(TwoServerPir, CommunicationAccounting) {
   // Upload is the serialized DPF key; verify the helper agrees with reality.
   const QueryKeys q = MakeIndexQuery(5, 22);
   EXPECT_EQ(q.key0.Serialize().size(), QueryUploadBytes(22));
+  // Early-terminated key: header, root seed, d-7 correction words, output
+  // word.
+  EXPECT_EQ(QueryUploadBytes(22), 2u + 16 + 15 * 17 + 16);
+  EXPECT_EQ(MakeIndexQuery(5, 6).key0.Serialize().size(),
+            QueryUploadBytes(6));
   // Paper §5.1: with d=22 and 4 KiB buckets, total communication per request
   // is on the order of 10 KiB (they report 13.6 KiB with their key format).
   const std::size_t total = TotalCommunicationBytes(22, 4096);
@@ -557,18 +563,24 @@ TEST(Keyword, IndexWithinDomain) {
 
 TEST(Keyword, FingerprintIndependentOfIndexHash) {
   // Two keys that collide on index should still have distinct fingerprints
-  // (with overwhelming probability), enabling client-side detection.
+  // (with overwhelming probability), enabling client-side detection. By
+  // pigeonhole, 17 keys in a 16-slot domain hold a colliding pair whatever
+  // the seed; every key that lands on an occupied slot must differ in
+  // fingerprint from the slot's first key.
   const Bytes seed = SecureRandom(16);
   KeywordMapper m(seed, 4);  // tiny domain forces collisions
-  std::uint64_t idx0 = m.IndexOf("key-0");
-  for (int i = 1; i < 100; ++i) {
+  std::map<std::uint64_t, std::string> first_at;
+  int collisions = 0;
+  for (int i = 0; i < 17; ++i) {
     const std::string k = "key-" + std::to_string(i);
-    if (m.IndexOf(k) == idx0) {
-      EXPECT_NE(m.Fingerprint(k), m.Fingerprint("key-0"));
-      return;
+    const auto [it, fresh] = first_at.emplace(m.IndexOf(k), k);
+    if (!fresh) {
+      EXPECT_NE(m.Fingerprint(k), m.Fingerprint(it->second))
+          << k << " vs " << it->second;
+      ++collisions;
     }
   }
-  FAIL() << "expected at least one collision in a 16-slot domain";
+  EXPECT_GT(collisions, 0);
 }
 
 TEST(KeywordRegistry, DetectsCollisions) {

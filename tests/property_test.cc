@@ -90,7 +90,8 @@ TEST(DpfPrivacy, KeyBytesStatisticallyIndependentOfAlpha) {
       // Consider only the pseudorandom material: skip the 2-byte header
       // (party/domain are public) and each level's packed control-bit byte
       // (a 2-bit value; layout: header, root seed, then 17 bytes per level
-      // whose last byte holds the control bits).
+      // whose last byte holds the control bits, then the 16-byte output
+      // word, none of whose offsets hit the skip rule).
       for (std::size_t j = 2; j < wire.size(); ++j) {
         if (j >= 18 && (j - 18) % 17 == 16) continue;
         total += wire[j];

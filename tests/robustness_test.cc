@@ -21,8 +21,8 @@ namespace {
 std::vector<Bytes> Corpus() {
   std::vector<Bytes> out;
   Rng rng(20260706);
-  for (std::size_t size : {0u, 1u, 2u, 5u, 17u, 18u, 100u, 391u, 392u,
-                           393u, 4096u}) {
+  for (std::size_t size : {0u, 1u, 2u, 5u, 17u, 18u, 100u, 288u, 289u,
+                           290u, 391u, 392u, 393u, 4096u}) {
     for (int variant = 0; variant < 20; ++variant) {
       Bytes b(size);
       rng.Fill(b);

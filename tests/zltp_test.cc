@@ -3,10 +3,14 @@
 // TCP transports in both modes of operation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <tuple>
+#include <vector>
 
+#include "net/reactor.h"
 #include "net/tcp.h"
 #include "net/transport.h"
 #include "oram/enclave.h"
@@ -15,6 +19,7 @@
 #include "pir/two_server.h"
 #include "util/clock.h"
 #include "util/rand.h"
+#include "util/thread_pool.h"
 #include "zltp/batch.h"
 #include "zltp/client.h"
 #include "zltp/messages.h"
@@ -232,8 +237,10 @@ class ShardedStoreTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedStoreTest, ShardedAnswersMatchSingleNode) {
   const int top_bits = GetParam();
-  PirStore single(SmallStoreConfig(10, 96, 0));
-  PirStore sharded(SmallStoreConfig(10, 96, top_bits));
+  // The split must stay inside the DPF tree: top_bits <= d - kLeafBits.
+  const int d = std::max(10, top_bits + dpf::kLeafBits);
+  PirStore single(SmallStoreConfig(d, 96, 0));
+  PirStore sharded(SmallStoreConfig(d, 96, top_bits));
   for (int i = 0; i < 50; ++i) {
     const std::string key = "site.com/page-" + std::to_string(i);
     const Bytes payload = ToBytes("content-" + std::to_string(i));
@@ -246,8 +253,8 @@ TEST_P(ShardedStoreTest, ShardedAnswersMatchSingleNode) {
 
   Rng rng(3);
   for (int t = 0; t < 20; ++t) {
-    const std::uint64_t index = rng.UniformInt(1 << 10);
-    const pir::QueryKeys q = pir::MakeIndexQuery(index, 10);
+    const std::uint64_t index = rng.UniformInt(std::uint64_t{1} << d);
+    const pir::QueryKeys q = pir::MakeIndexQuery(index, d);
     EXPECT_EQ(single.AnswerQuery(q.key0).value(),
               sharded.AnswerQuery(q.key0).value())
         << "index " << index;
@@ -258,6 +265,8 @@ INSTANTIATE_TEST_SUITE_P(Shards, ShardedStoreTest,
                          ::testing::Values(1, 2, 4, 6));
 
 TEST(PirStore, BatchMatchesIndividual) {
+  // Swept over pool sizes too: ExpandBatch spreads the batch's keys over
+  // the pool, and every split must match the serial answers.
   for (int top_bits : {0, 3}) {
     PirStore store(SmallStoreConfig(10, 96, top_bits));
     for (int i = 0; i < 30; ++i) {
@@ -275,7 +284,86 @@ TEST(PirStore, BatchMatchesIndividual) {
     auto batch = store.AnswerBatch(keys);
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(*batch, individual) << "top_bits=" << top_bits;
+    for (int threads : {1, 2, 3, 8}) {
+      ThreadPool pool(threads);
+      auto pooled = store.AnswerBatch(keys, &pool);
+      ASSERT_TRUE(pooled.ok());
+      EXPECT_EQ(*pooled, individual)
+          << "top_bits=" << top_bits << " threads=" << threads;
+    }
   }
+}
+
+// ------------------------------------------------------- parallel eval
+//
+// DPF evaluation runs in parallel across a batch's keys
+// (PirStore::ExpandBatch, one key per pool task). For every pool size and
+// domain the pooled expansion must be bit-identical to serial EvalFull, or
+// to serial EvalSubtree of each shard when the store is sharded — swept
+// over thread counts x domain sizes, from a tree of depth 0 (d=1) to
+// batches that put several keys on each worker.
+
+class DpfParallelTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  // More keys than threads, both parties' shares.
+  static std::vector<dpf::DpfKey> BatchOfKeys(int threads, int d) {
+    Rng rng(static_cast<std::uint64_t>(threads * 1000 + d));
+    std::vector<dpf::DpfKey> keys;
+    for (int i = 0; i < threads + 2; ++i) {
+      dpf::KeyPair pair =
+          dpf::Generate(rng.UniformInt(std::uint64_t{1} << d), d);
+      keys.push_back(std::move(pair.key0));
+      keys.push_back(std::move(pair.key1));
+    }
+    return keys;
+  }
+};
+
+TEST_P(DpfParallelTest, EvalFullParallelMatchesSerial) {
+  const auto [threads, d] = GetParam();
+  PirStore store(SmallStoreConfig(d, 96, 0));
+  ThreadPool pool(threads);
+  const std::vector<dpf::DpfKey> keys = BatchOfKeys(threads, d);
+  auto expanded = store.ExpandBatch(keys, &pool);
+  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
+  ASSERT_EQ(expanded->shard_bits.size(), 1u);
+  for (std::size_t q = 0; q < keys.size(); ++q) {
+    EXPECT_EQ(expanded->shard_bits[0][q], dpf::EvalFull(keys[q]))
+        << "threads=" << threads << " d=" << d << " key " << q;
+  }
+}
+
+TEST_P(DpfParallelTest, EvalSubtreeParallelMatchesSerial) {
+  const auto [threads, d] = GetParam();
+  const int top_bits = std::min(2, dpf::TreeDepth(d));
+  PirStore store(SmallStoreConfig(d, 96, top_bits));
+  ThreadPool pool(threads);
+  const std::vector<dpf::DpfKey> keys = BatchOfKeys(threads, d);
+  auto expanded = store.ExpandBatch(keys, &pool);
+  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
+  ASSERT_EQ(expanded->shard_bits.size(), std::size_t{1} << top_bits);
+  for (std::size_t q = 0; q < keys.size(); ++q) {
+    const std::vector<dpf::SubtreeKey> subkeys =
+        dpf::SplitForShards(keys[q], top_bits);
+    for (std::size_t s = 0; s < subkeys.size(); ++s) {
+      EXPECT_EQ(expanded->shard_bits[s][q], dpf::EvalSubtree(subkeys[s]))
+          << "threads=" << threads << " d=" << d << " key " << q
+          << " shard " << s;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolsAndDomains, DpfParallelTest,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 8),
+                                            ::testing::Values(1, 5, 12, 18)));
+
+TEST(PirStore, ShardSplitBelowTheTreeFailsAtConstruction) {
+  // Shards split the DPF tree, which ends dpf::kLeafBits above the domain.
+  EXPECT_THROW(PirStore(SmallStoreConfig(10, 96, 4)), InvariantViolation);
+  EXPECT_THROW(PirStore(SmallStoreConfig(6, 96, 1)), InvariantViolation);
+  EXPECT_EQ(PirStore(SmallStoreConfig(10, 96, 3)).shard_count(), 8u);
+  EXPECT_EQ(PirStore(SmallStoreConfig(6, 96, 0)).shard_count(), 1u);
 }
 
 TEST(PirStore, KeysEnumeratesPublished) {
@@ -657,6 +745,75 @@ TEST(PirSessionErrors, MismatchedUniversesRejected) {
       EstablishOptions::FromTransports(
       std::move(p0.a), std::move(p1.a)));
   EXPECT_FALSE(session.ok());
+}
+
+// A peer on protocol version 1 would send single-bit-leaf DPF keys; it must
+// be turned away at the hello so an old-format key never reaches
+// DpfKey::Deserialize.
+ClientHello Version1Hello() {
+  ClientHello hello;
+  hello.version = 1;
+  hello.supported_modes = {Mode::kTwoServerPir};
+  return hello;
+}
+
+void ExpectVersion1HelloRefused(net::Transport& client) {
+  ASSERT_TRUE(client.Send(Encode(Version1Hello())).ok());
+  auto reply = client.Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto error = DecodeError(*reply);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->code, StatusCode::kProtocolError);
+}
+
+TEST(PirSessionErrors, ThreadedServerRejectsVersion1Hello) {
+  PirStore store(SmallStoreConfig());
+  ZltpPirServer server(store, 0);
+  net::TransportPair p = net::CreateInMemoryPair();
+  server.ServeConnectionDetached(std::move(p.b));
+  ExpectVersion1HelloRefused(*p.a);
+}
+
+TEST(PirSessionErrors, ReactorServerRejectsVersion1Hello) {
+  PirStore store(SmallStoreConfig());
+  net::Reactor reactor;
+  ZltpPirServer server(store, 0);
+  auto listener = net::TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  const std::uint16_t port = listener->bound_port();
+  ASSERT_TRUE(server.ServeOnReactor(reactor, std::move(*listener)).ok());
+  ASSERT_TRUE(reactor.Start().ok());
+  auto client = net::TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  ExpectVersion1HelloRefused(**client);
+  EXPECT_FALSE((*client)->Receive().ok());  // error, then hang up
+  reactor.Stop();
+}
+
+TEST(PirSessionErrors, ClientRefusesVersion1ServerHello) {
+  PirStore store(SmallStoreConfig());
+  ZltpPirServer server1(store, 1);
+  net::TransportPair p0 = net::CreateInMemoryPair();
+  net::TransportPair p1 = net::CreateInMemoryPair();
+  server1.ServeConnectionDetached(std::move(p1.b));
+  // Server 0 answers in protocol version 1, otherwise well-formed.
+  std::thread old_server([t = std::move(p0.b), &store] {
+    if (!t->Receive().ok()) return;
+    ServerHello hello;
+    hello.version = 1;
+    hello.mode = Mode::kTwoServerPir;
+    hello.server_role = 0;
+    hello.domain_bits = static_cast<std::uint8_t>(store.domain_bits());
+    hello.record_size = static_cast<std::uint32_t>(store.record_size());
+    hello.keyword_seed = store.config().keyword_seed;
+    (void)t->Send(Encode(hello));
+    (void)t->Receive();  // until the client hangs up
+  });
+  auto session = PirSession::Establish(
+      EstablishOptions::FromTransports(std::move(p0.a), std::move(p1.a)));
+  old_server.join();
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kProtocolError);
 }
 
 TEST(PirSessionErrors, ServerRejectsUnsupportedMode) {
