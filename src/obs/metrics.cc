@@ -214,6 +214,9 @@ Metrics& M() {
           "lw_scan_rows_scanned_total",
           "records walked by blob-database scan passes", "rows"),
       Registry::Default().AddCounter(
+          "lw_scan_row_xors_total",
+          "row XORs issued by blob-database scan passes", "xors"),
+      Registry::Default().AddCounter(
           "lw_scan_passes_total",
           "blob-database scan passes (a batched pass counts once)", "passes"),
       Registry::Default().AddCounter(

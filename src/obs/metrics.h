@@ -213,8 +213,10 @@ struct Metrics {
   Counter& batch_pipeline_stall_ns;
 
   // Blob-database scans. ns/record = busy_ns / rows_scanned; average
-  // rows per pass (≈ rows per shard) = rows_scanned / passes.
+  // rows per pass (≈ rows per shard) = rows_scanned / passes; row XORs per
+  // scanned row = row_xors / rows_scanned (≤ ⌈B/4⌉ for a batch of B).
   Counter& scan_rows_scanned;
+  Counter& scan_row_xors;
   Counter& scan_passes;
   Counter& scan_busy_ns;
   Histogram& scan_pass_ns;

@@ -1,6 +1,7 @@
 #include "pir/blob_db.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 
@@ -12,16 +13,58 @@
 namespace lw::pir {
 namespace {
 
-// Rows ahead of the current one to pull into cache during a scan. The XOR
-// of one selected row is far slower than a prefetched sequential read, so a
-// short distance suffices to hide the miss on the selection-bit lookup.
+// Queries per table group of the batch scan. A group of G queries needs
+// 2^G table entries and costs a row at most one XOR, so G trades XOR work
+// (≤ ⌈B/G⌉ per row) against table space (⌈B/G⌉·2^G rows per shard). At
+// G = 4 a 16-query batch's tables take 64 rows, 256 KiB at 4 KiB records,
+// and stay in L2. G = 8 scanned a 16-query batch no faster on a Xeon with
+// 2 MiB of L2 per core, and its tables filled that whole L2.
+constexpr std::size_t kGroupSize = 4;
+constexpr std::size_t kGroupEntries = std::size_t{1} << kGroupSize;
+
+// Table rows a batch of nq ≥ 2 queries needs: group g's pattern p lives at
+// entry g·kGroupEntries + p, and a last group of m queries only reaches
+// patterns below 2^m.
+std::size_t TableEntries(std::size_t nq) {
+  const std::size_t last = (nq - 1) / kGroupSize;
+  return last * kGroupEntries +
+         (std::size_t{1} << (nq - last * kGroupSize));
+}
+
+// Row chunks per shard of a parallel scan pass. The shards claim chunks as
+// they go, so one chunk bounds how long a shard can trail the others: at
+// 16, a chunk of a 1 GiB store over two shards is 32 MiB, a few ms.
+constexpr std::size_t kChunksPerShard = 16;
+
+// Rows ahead of the current one to pull into cache during a scan. A
+// single-query scan reads only the rows its query selects, so it fetches a
+// row's first cache line. The grouped scan reads nearly every row in full
+// (a row misses all of a B-query batch's groups with probability 2^-B), so
+// it fetches the whole row into L2, and per query the selection word
+// holding the row's bit (a random read into each query's bit vector). A
+// 4 KiB record is a 4 KiB page, where the hardware streamer stops, so
+// without the whole-row prefetch every row would start on a DRAM miss.
 constexpr std::size_t kPrefetchRows = 4;
 
-inline void PrefetchRow(const std::uint8_t* p) {
+inline void Prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
 #else
   (void)p;
+#endif
+}
+
+// Prefetches `bytes` from `p` into L2 (locality 2), not L1: a whole row
+// per call would crowd L1's few fill buffers and evict the L1-resident
+// lines of the tables the scan XORs into.
+inline void PrefetchToL2(const std::uint8_t* p, std::size_t bytes) {
+#if defined(__GNUC__) || defined(__clang__)
+  for (std::size_t off = 0; off < bytes; off += kCacheLineSize) {
+    __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/2);
+  }
+#else
+  (void)p;
+  (void)bytes;
 #endif
 }
 
@@ -108,83 +151,161 @@ std::size_t BlobDatabase::ScanShards(ThreadPool* pool) const {
       1, std::min(static_cast<std::size_t>(pool->thread_count()), by_rows));
 }
 
-void BlobDatabase::ScanRows(const dpf::BitVector& bits, std::size_t row_begin,
-                            std::size_t row_end, std::uint8_t* acc) const {
+std::uint64_t BlobDatabase::ScanRows(const std::uint64_t* bits,
+                                     std::size_t row_begin,
+                                     std::size_t row_end,
+                                     std::uint8_t* acc) const {
+  std::uint64_t row_xors = 0;
   for (std::size_t row = row_begin; row < row_end; ++row) {
     if (row + kPrefetchRows < row_end) {
-      PrefetchRow(records_.data() + (row + kPrefetchRows) * row_stride_);
+      Prefetch(records_.data() + (row + kPrefetchRows) * row_stride_);
     }
-    if (dpf::GetBit(bits, slot_index_[row])) {
+    const std::uint64_t index = slot_index_[row];
+    if ((bits[index >> 6] >> (index & 63)) & 1) {
       XorBytes(acc, records_.data() + row * row_stride_, record_size_);
+      ++row_xors;
+    }
+  }
+  return row_xors;
+}
+
+std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* const* bits,
+                                            std::size_t nq,
+                                            std::size_t row_begin,
+                                            std::size_t row_end,
+                                            std::uint8_t* tables) const {
+  const std::size_t groups = (nq + kGroupSize - 1) / kGroupSize;
+  // Destinations of one XorRowMulti call, at most one entry per group;
+  // hoisted so the row loop never allocates.
+  std::vector<std::uint8_t*> dsts(groups);
+  std::uint64_t row_xors = 0;
+  for (std::size_t row = row_begin; row < row_end; ++row) {
+    if (row + kPrefetchRows < row_end) {
+      PrefetchToL2(records_.data() + (row + kPrefetchRows) * row_stride_,
+                   record_size_);
+      const std::uint64_t ahead = slot_index_[row + kPrefetchRows] >> 6;
+      for (std::size_t q = 0; q < nq; ++q) Prefetch(bits[q] + ahead);
+    }
+    // The row's selection bits, four queries at a time, index one table
+    // entry per group: whichever of the group's queries select the row,
+    // the row is XORed once (the Method of Four Russians).
+    const std::uint64_t word = slot_index_[row] >> 6;
+    const std::uint64_t shift = slot_index_[row] & 63;
+    std::size_t k = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t q0 = g * kGroupSize;
+      const std::size_t q1 = std::min(nq, q0 + kGroupSize);
+      std::size_t pattern = 0;
+      for (std::size_t q = q0; q < q1; ++q) {
+        pattern |= static_cast<std::size_t>((bits[q][word] >> shift) & 1)
+                   << (q - q0);
+      }
+      if (pattern != 0) {
+        dsts[k++] = tables + (g * kGroupEntries + pattern) * row_stride_;
+      }
+    }
+    XorRowMulti(records_.data() + row * row_stride_, dsts.data(), k,
+                record_size_);
+    row_xors += k;
+  }
+  return row_xors;
+}
+
+void BlobDatabase::FoldTables(std::size_t nq, const std::uint8_t* tables,
+                              std::uint8_t* accs) const {
+  const std::size_t groups = (nq + kGroupSize - 1) / kGroupSize;
+  // A folded entry feeds at most one accumulator per query of its group.
+  std::uint8_t* dsts[kGroupSize];
+  // Query j of group g selected exactly the rows XORed into the entries
+  // whose pattern has bit j set; fold each entry into those accumulators.
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t q0 = g * kGroupSize;
+    const std::size_t members = std::min(nq - q0, kGroupSize);
+    for (std::size_t pattern = 1; pattern < (std::size_t{1} << members);
+         ++pattern) {
+      std::size_t k = 0;
+      for (std::size_t j = 0; j < members; ++j) {
+        if ((pattern >> j) & 1) dsts[k++] = accs + (q0 + j) * row_stride_;
+      }
+      XorRowMulti(tables + (g * kGroupEntries + pattern) * row_stride_, dsts,
+                  k, record_size_);
     }
   }
 }
 
-void BlobDatabase::ScanRowsFused(const std::vector<dpf::BitVector>& queries,
-                                 std::size_t row_begin, std::size_t row_end,
-                                 std::uint8_t* accs) const {
-  const std::size_t nq = queries.size();
-  // Destinations selected by the current row; hoisted so the inner loop
-  // never allocates.
-  std::vector<std::uint8_t*> selected;
-  selected.reserve(nq);
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    if (row + kPrefetchRows < row_end) {
-      PrefetchRow(records_.data() + (row + kPrefetchRows) * row_stride_);
+void BlobDatabase::Scan(const std::uint64_t* const* bits,
+                        std::uint8_t* const* outs, std::size_t nq,
+                        ThreadPool* pool) const {
+  const auto scan_start = std::chrono::steady_clock::now();
+  const std::size_t n = slot_index_.size();
+  const std::size_t shards = ScanShards(pool);
+  // Per shard, one aligned accumulator per query, row_stride_ apart, then
+  // that shard's tables (a single query needs none).
+  const std::size_t acc_block = nq * row_stride_;
+  const std::size_t shard_block =
+      acc_block + (nq == 1 ? 0 : TableEntries(nq) * row_stride_);
+  AlignedBytes scratch(shards * shard_block, 0);
+  // Each shard claims row chunks from a shared cursor until none are left,
+  // so a worker that starts late or runs slow (a descheduled vCPU, a busier
+  // core) leaves its rows to the others instead of holding up the pass. A
+  // lone shard has no one to share with and scans its rows as one chunk.
+  const std::size_t target_chunks = shards == 1 ? 1 : shards * kChunksPerShard;
+  const std::size_t chunk_rows =
+      std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
+  const std::size_t chunks = (n + chunk_rows - 1) / chunk_rows;
+  std::atomic<std::size_t> next_chunk{0};
+  // A single query XORs each selected row straight into its accumulator:
+  // routed through the tables, its cache-cold shard scans ran ~13 % slower.
+  const auto scan_shard = [&](std::uint8_t* block) {
+    std::uint64_t row_xors = 0;
+    for (;;) {
+      const std::size_t c = next_chunk.fetch_add(1);
+      if (c >= chunks) break;
+      const std::size_t row_begin = c * chunk_rows;
+      const std::size_t row_end = std::min(n, row_begin + chunk_rows);
+      row_xors += nq == 1 ? ScanRows(bits[0], row_begin, row_end, block)
+                          : ScanRowsGrouped(bits, nq, row_begin, row_end,
+                                            block + acc_block);
     }
-    // One read of the row serves every selecting query: gather the
-    // accumulators whose bit is set, then a single fused kernel pass loads
-    // each row lane once and XORs it into all of them (the batching
-    // amortization of §5.1, carried down to the register level).
-    const std::uint64_t idx = slot_index_[row];
-    const std::uint8_t* rec = records_.data() + row * row_stride_;
-    selected.clear();
-    for (std::size_t q = 0; q < nq; ++q) {
-      if (dpf::GetBit(queries[q], idx)) {
-        selected.push_back(accs + q * row_stride_);
+    if (nq > 1) FoldTables(nq, block + acc_block, block);
+    obs::M().scan_row_xors.Inc(row_xors);
+  };
+  if (shards <= 1) {
+    scan_shard(scratch.data());
+  } else {
+    pool->ParallelFor(0, shards, 1, [&](std::size_t w0, std::size_t w1) {
+      for (std::size_t w = w0; w < w1; ++w) {
+        scan_shard(scratch.data() + w * shard_block);
+      }
+    });
+    // Tree reduction across shards; a whole accumulator block (all B
+    // answers) is combined per XOR, padding XORs zero into zero.
+    for (std::size_t step = 1; step < shards; step <<= 1) {
+      for (std::size_t i = 0; i + step < shards; i += 2 * step) {
+        XorBytes(scratch.data() + i * shard_block,
+                 scratch.data() + (i + step) * shard_block, acc_block);
       }
     }
-    if (!selected.empty()) {
-      XorRowMulti(rec, selected.data(), selected.size(), record_size_);
-    }
   }
+  for (std::size_t q = 0; q < nq; ++q) {
+    std::memcpy(outs[q], scratch.data() + q * row_stride_, record_size_);
+  }
+  const std::uint64_t scan_ns = obs::ElapsedNs(scan_start);
+  obs::M().scan_pass_ns.Observe(scan_ns);
+  obs::M().scan_busy_ns.Inc(scan_ns);
+  // One pass reads each row once no matter how many queries ride it.
+  obs::M().scan_rows_scanned.Inc(n);
+  obs::M().scan_passes.Inc();
+  obs::AddScanNs(scan_ns);
 }
 
 void BlobDatabase::Answer(const dpf::BitVector& bits, MutableByteSpan out,
                           ThreadPool* pool) const {
   LW_CHECK_MSG(out.size() == record_size_, "answer buffer size mismatch");
   LW_CHECK_MSG(bits.size() * 64 >= domain_size(), "bit vector too small");
-  const auto scan_start = std::chrono::steady_clock::now();
-  const std::size_t n = slot_index_.size();
-  const std::size_t shards = ScanShards(pool);
-  // Accumulate into aligned scratch (one row-stride slot per shard) so
-  // XorBytes stays on its aligned path even when `out` is not aligned.
-  AlignedBytes accs(shards * row_stride_, 0);
-  if (shards <= 1) {
-    ScanRows(bits, 0, n, accs.data());
-  } else {
-    const std::size_t chunk = (n + shards - 1) / shards;
-    pool->ParallelFor(0, shards, 1, [&](std::size_t w0, std::size_t w1) {
-      for (std::size_t w = w0; w < w1; ++w) {
-        ScanRows(bits, w * chunk, std::min(n, (w + 1) * chunk),
-                 accs.data() + w * row_stride_);
-      }
-    });
-    // Tree reduction of the per-shard accumulators into slot 0.
-    for (std::size_t step = 1; step < shards; step <<= 1) {
-      for (std::size_t i = 0; i + step < shards; i += 2 * step) {
-        XorBytes(accs.data() + i * row_stride_,
-                 accs.data() + (i + step) * row_stride_, record_size_);
-      }
-    }
-  }
-  std::memcpy(out.data(), accs.data(), record_size_);
-  const std::uint64_t scan_ns = obs::ElapsedNs(scan_start);
-  obs::M().scan_pass_ns.Observe(scan_ns);
-  obs::M().scan_busy_ns.Inc(scan_ns);
-  obs::M().scan_rows_scanned.Inc(n);
-  obs::M().scan_passes.Inc();
-  obs::AddScanNs(scan_ns);
+  const std::uint64_t* words = bits.data();
+  std::uint8_t* dst = out.data();
+  Scan(&words, &dst, 1, pool);
 }
 
 void BlobDatabase::AnswerBatch(const std::vector<dpf::BitVector>& queries,
@@ -192,46 +313,15 @@ void BlobDatabase::AnswerBatch(const std::vector<dpf::BitVector>& queries,
                                ThreadPool* pool) const {
   answers.assign(queries.size(), Bytes(record_size_, 0));
   if (queries.empty()) return;
-  for (const dpf::BitVector& q : queries) {
-    LW_CHECK_MSG(q.size() * 64 >= domain_size(), "bit vector too small");
+  std::vector<const std::uint64_t*> words;
+  std::vector<std::uint8_t*> outs;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    LW_CHECK_MSG(queries[q].size() * 64 >= domain_size(),
+                 "bit vector too small");
+    words.push_back(queries[q].data());
+    outs.push_back(answers[q].data());
   }
-  const auto scan_start = std::chrono::steady_clock::now();
-  const std::size_t n = slot_index_.size();
-  const std::size_t nq = queries.size();
-  const std::size_t shards = ScanShards(pool);
-  // Per shard, one aligned accumulator per query, row_stride_ apart.
-  const std::size_t acc_block = nq * row_stride_;
-  AlignedBytes accs(shards * acc_block, 0);
-  if (shards <= 1) {
-    ScanRowsFused(queries, 0, n, accs.data());
-  } else {
-    const std::size_t chunk = (n + shards - 1) / shards;
-    pool->ParallelFor(0, shards, 1, [&](std::size_t w0, std::size_t w1) {
-      for (std::size_t w = w0; w < w1; ++w) {
-        ScanRowsFused(queries, w * chunk, std::min(n, (w + 1) * chunk),
-                      accs.data() + w * acc_block);
-      }
-    });
-    // Tree reduction across shards; a whole block (all B accumulators) is
-    // combined per XOR, padding XORs zero into zero.
-    for (std::size_t step = 1; step < shards; step <<= 1) {
-      for (std::size_t i = 0; i + step < shards; i += 2 * step) {
-        XorBytes(accs.data() + i * acc_block,
-                 accs.data() + (i + step) * acc_block, acc_block);
-      }
-    }
-  }
-  for (std::size_t q = 0; q < nq; ++q) {
-    std::memcpy(answers[q].data(), accs.data() + q * row_stride_,
-                record_size_);
-  }
-  const std::uint64_t scan_ns = obs::ElapsedNs(scan_start);
-  obs::M().scan_pass_ns.Observe(scan_ns);
-  obs::M().scan_busy_ns.Inc(scan_ns);
-  // The fused pass reads each row once no matter how many queries ride it.
-  obs::M().scan_rows_scanned.Inc(n);
-  obs::M().scan_passes.Inc();
-  obs::AddScanNs(scan_ns);
+  Scan(words.data(), outs.data(), queries.size(), pool);
 }
 
 }  // namespace lw::pir

@@ -10,11 +10,18 @@
 // Storage is cache-line friendly: rows are padded to a 64-byte stride in a
 // 64-byte-aligned (hugepage-advised above 2 MiB) arena, so every row starts
 // on a cache line and the runtime-dispatched XOR kernels (scalar/AVX2/
-// AVX-512, see pir/xor_kernel.h) run on aligned addresses. Both Answer and
-// AnswerBatch accept
-// an optional ThreadPool: the scan is sharded into per-worker row ranges,
-// each worker XOR-accumulates into private aligned accumulators, and a
-// tree reduction combines them (the multi-core server of §5.1).
+// AVX-512, see pir/xor_kernel.h) run on aligned addresses.
+//
+// A batch of B ≥ 2 queries runs a grouped-table scan: the queries split
+// into groups of four, and a row is XORed once per group into the table
+// entry its four selection bits name (the Method of Four Russians), so a
+// row costs at most ⌈B/4⌉ XORs however many queries select it. Each
+// query's answer is then the XOR of its group's entries whose pattern
+// selects it. A single query XORs its selected rows straight into one
+// accumulator. With a ThreadPool the scan runs one shard per worker, each
+// with private tables and accumulators; the shards claim row chunks from a
+// shared cursor, so a slow worker's rows go to the others, and a tree
+// reduction combines the shards (the multi-core server of §5.1).
 #pragma once
 
 #include <cstdint>
@@ -82,25 +89,38 @@ class BlobDatabase {
   void Answer(const dpf::BitVector& bits, MutableByteSpan out,
               ThreadPool* pool = nullptr) const;
 
-  // Batched PIR answer: a single fused pass walks the records once and
-  // applies every query's selection bit per record (B answers for one
-  // sweep of memory traffic — §5.1's batching win). answers[q] are each
+  // Batched PIR answer: a single pass walks the records once and applies
+  // every query's selection bit per record (B answers for one sweep of
+  // memory traffic — §5.1's batching win). answers[q] are each
   // record_size bytes, (re)initialized by the callee. With a pool, row
-  // shards each keep B private accumulators, tree-reduced at the end.
+  // shards each keep private tables and B accumulators, tree-reduced at
+  // the end.
   void AnswerBatch(const std::vector<dpf::BitVector>& queries,
                    std::vector<Bytes>& answers,
                    ThreadPool* pool = nullptr) const;
 
  private:
+  // One scan pass for nq ≥ 1 queries: bits[q] is query q's packed
+  // selection vector, and its answer (record_size bytes) lands at outs[q].
+  // Row shards claim row chunks and run ScanRows on them for one query,
+  // ScanRowsGrouped for more.
+  void Scan(const std::uint64_t* const* bits, std::uint8_t* const* outs,
+            std::size_t nq, ThreadPool* pool) const;
   // XORs rows [row_begin, row_end) selected by `bits` into acc
-  // (record_size bytes).
-  void ScanRows(const dpf::BitVector& bits, std::size_t row_begin,
-                std::size_t row_end, std::uint8_t* acc) const;
-  // Fused variant: applies all queries, accumulating into
-  // accs + q * row_stride() per query q.
-  void ScanRowsFused(const std::vector<dpf::BitVector>& queries,
-                     std::size_t row_begin, std::size_t row_end,
-                     std::uint8_t* accs) const;
+  // (record_size bytes). Returns the row XORs issued.
+  std::uint64_t ScanRows(const std::uint64_t* bits, std::size_t row_begin,
+                         std::size_t row_end, std::uint8_t* acc) const;
+  // Grouped-table scan of rows [row_begin, row_end) for nq ≥ 2 queries:
+  // XORs each row into its groups' entries of `tables`, zeroed by the
+  // caller before a shard's first chunk. Returns the row XORs issued.
+  std::uint64_t ScanRowsGrouped(const std::uint64_t* const* bits,
+                                std::size_t nq, std::size_t row_begin,
+                                std::size_t row_end,
+                                std::uint8_t* tables) const;
+  // Folds a shard's tables into accs + q * row_stride() per query q, once
+  // after the shard's last chunk.
+  void FoldTables(std::size_t nq, const std::uint8_t* tables,
+                  std::uint8_t* accs) const;
   // How many row shards a parallel scan should use (1 = serial).
   std::size_t ScanShards(ThreadPool* pool) const;
 

@@ -43,6 +43,14 @@ void XorRowMultiScalar(const std::uint8_t* row, std::uint8_t* const* dsts,
 
 #if defined(LW_XOR_X86)
 
+// Row lanes XorRowMulti's vector tiers load per block before touching any
+// destination: the block's row loads issue back to back, and each
+// destination pointer is read once per block, not once per lane. On a
+// 4-vCPU Xeon this took bench_batching's 16-query scan (two threads,
+// 256 MiB shard) from ~32 to ~27 ms on the AVX-512 tier; pinned to AVX2,
+// a cache-cold 16-query scan ran ~6 % faster.
+constexpr std::size_t kRowBlockLanes = 4;
+
 // ---------------------------------------------------------------------------
 // AVX2 tier: 32-byte lanes. Each function carries its own target attribute
 // so the file needs no -mavx2 flag (the repo adds one globally today, but
@@ -83,8 +91,22 @@ __attribute__((target("avx2"))) void XorRowMultiAvx2(
     const std::uint8_t* row, std::uint8_t* const* dsts, std::size_t count,
     std::size_t n) {
   std::size_t i = 0;
+  for (; i + 32 * kRowBlockLanes <= n; i += 32 * kRowBlockLanes) {
+    // One load of each row lane feeds every destination accumulator.
+    __m256i r[kRowBlockLanes];
+    for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
+      r[j] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(row + i + 32 * j));
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
+        __m256i* lane = reinterpret_cast<__m256i*>(dsts[k] + i + 32 * j);
+        _mm256_storeu_si256(
+            lane, _mm256_xor_si256(_mm256_loadu_si256(lane), r[j]));
+      }
+    }
+  }
   for (; i + 32 <= n; i += 32) {
-    // One load of the row lane feeds every destination accumulator.
     const __m256i r =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
     for (std::size_t k = 0; k < count; ++k) {
@@ -122,6 +144,19 @@ __attribute__((target("avx512f"))) void XorRowMultiAvx512(
     const std::uint8_t* row, std::uint8_t* const* dsts, std::size_t count,
     std::size_t n) {
   std::size_t i = 0;
+  for (; i + 64 * kRowBlockLanes <= n; i += 64 * kRowBlockLanes) {
+    __m512i r[kRowBlockLanes];
+    for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
+      r[j] = _mm512_loadu_si512(row + i + 64 * j);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
+        std::uint8_t* lane = dsts[k] + i + 64 * j;
+        _mm512_storeu_si512(
+            lane, _mm512_xor_si512(_mm512_loadu_si512(lane), r[j]));
+      }
+    }
+  }
   for (; i + 64 <= n; i += 64) {
     const __m512i r = _mm512_loadu_si512(row + i);
     for (std::size_t k = 0; k < count; ++k) {

@@ -17,10 +17,10 @@
 //
 // Two kernels are dispatched:
 //   XorBytes(dst, src, n)            dst ^= src, the single-query scan op
-//   XorRowMulti(row, dsts, k, n)     dsts[i] ^= row for k accumulators —
-//                                    the fused batched scan re-uses each
-//                                    row load across every selecting query
-//                                    instead of re-reading it per query.
+//   XorRowMulti(row, dsts, k, n)     dsts[i] ^= row for k destinations —
+//                                    the batch scan feeds one row load to
+//                                    its table entry in every group of
+//                                    queries that selects it.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +58,7 @@ void XorBytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
 
 // dsts[i] ^= row (i < count) over n bytes each: one pass over `row` feeds
 // every destination, so a batched scan pays the row's memory traffic once
-// no matter how many queries selected it.
+// no matter how many table entries it lands in.
 void XorRowMulti(const std::uint8_t* row, std::uint8_t* const* dsts,
                  std::size_t count, std::size_t n);
 

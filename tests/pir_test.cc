@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "obs/metrics.h"
 #include "pir/blob_db.h"
 #include "pir/cuckoo.h"
 #include "pir/keyword.h"
@@ -97,6 +98,35 @@ TEST(BlobDb, EmptyBitsGiveZeroAnswer) {
   Bytes out(8, 0xcc);
   db.Answer(bits, out);
   EXPECT_EQ(out, RecordOf(0, 8));
+}
+
+// lw_scan_row_xors_total counts one XOR per row and non-zero group
+// pattern: rows selected by four queries of one group cost one XOR, not
+// four, and a group whose queries skip the row costs none.
+TEST(BlobDb, ScanCountsOneRowXorPerSelectingGroup) {
+  BlobDatabase db(6, 8);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(db.Insert(i, RecordOf(static_cast<std::uint8_t>(i), 8)).ok());
+  }
+  const dpf::BitVector all(1, ~std::uint64_t{0});
+  const dpf::BitVector none(1, 0);
+  std::vector<Bytes> answers;
+  obs::Counter& row_xors = obs::M().scan_row_xors;
+
+  std::uint64_t before = row_xors.Value();
+  db.AnswerBatch({all, all, all, all, none}, answers);
+  EXPECT_EQ(row_xors.Value() - before, 10u);
+  EXPECT_EQ(answers[0], answers[3]);
+  EXPECT_EQ(answers[4], RecordOf(0, 8));
+
+  before = row_xors.Value();
+  db.AnswerBatch({all, all, all, all, all}, answers);
+  EXPECT_EQ(row_xors.Value() - before, 20u);
+
+  before = row_xors.Value();
+  Bytes out(8);
+  db.Answer(none, out);
+  EXPECT_EQ(row_xors.Value() - before, 0u);
 }
 
 TEST(BlobDb, XorBytesAllLengths) {
@@ -190,7 +220,7 @@ TEST(XorKernel, XorRowMultiMatchesRepeatedXorBytes) {
   for (const XorTier tier :
        {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
     if (!SetXorTier(tier)) continue;
-    for (const std::size_t n : {1u, 64u, 100u, 512u}) {
+    for (const std::size_t n : {1u, 64u, 100u, 512u, 4200u}) {
       Bytes row(n);
       rng.Fill(row);
       constexpr std::size_t kAccs = 5;
@@ -350,37 +380,76 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
   const auto [threads, d] = GetParam();
   ThreadPool pool(threads);
   const std::uint64_t domain = std::uint64_t{1} << d;
-  const std::size_t record_size = 48;
+  // Not a multiple of 64, and long enough that every XOR tier runs its
+  // row blocks, single lanes and byte tail.
+  const std::size_t record_size = 300;
   BlobDatabase db(d, record_size);
   Rng rng(static_cast<std::uint64_t>(threads * 131 + d));
-  const std::uint64_t records = std::min<std::uint64_t>(domain, 200);
+  // Over 1000 rows at d ≥ 12, so a pool splits the scan into several row
+  // shards (at least 256 rows each) and the shard reduction runs.
+  const std::uint64_t records = std::min<std::uint64_t>(domain, 1200);
+  std::set<std::uint64_t> stored;
   for (std::uint64_t i = 0; i < records; ++i) {
     Bytes rec(record_size);
     rng.Fill(rec);
-    ASSERT_TRUE(db.Upsert(rng.UniformInt(domain), rec).ok());
+    const std::uint64_t index = rng.UniformInt(domain);
+    ASSERT_TRUE(db.Upsert(index, rec).ok());
+    stored.insert(index);
   }
+  // Naive reference, independent of the scan kernel: the XOR of Get over
+  // every stored index whose bit is set.
+  const auto reference = [&](const dpf::BitVector& bits) {
+    Bytes out(record_size, 0);
+    for (const std::uint64_t index : stored) {
+      if (dpf::GetBit(bits, index) == 0) continue;
+      const Bytes rec = db.Get(index).value();
+      for (std::size_t i = 0; i < record_size; ++i) out[i] ^= rec[i];
+    }
+    return out;
+  };
 
+  // Batch sizes around the scan's groups of four: one partial group, one
+  // full group, full groups followed by a partial one.
   const std::size_t words = (domain + 63) / 64;
-  std::vector<dpf::BitVector> queries;
-  std::vector<Bytes> expected;
-  for (int qi = 0; qi < 5; ++qi) {
-    dpf::BitVector bits(words);
-    for (std::uint64_t& w : bits) w = rng.Next();
-    queries.push_back(bits);
-    Bytes a(record_size);
-    db.Answer(bits, a);
-    expected.push_back(a);
-  }
+  ScopedXorTier restore;
+  for (const std::size_t batch : {1u, 3u, 4u, 5u, 16u, 17u, 33u}) {
+    std::vector<dpf::BitVector> queries(batch, dpf::BitVector(words));
+    for (dpf::BitVector& bits : queries) {
+      for (std::uint64_t& w : bits) w = rng.Next();
+    }
+    // The last query selects every row and, from two queries up, the first
+    // selects none, so each batch asks for both edge answers.
+    std::fill(queries.back().begin(), queries.back().end(),
+              ~std::uint64_t{0});
+    if (batch >= 2) {
+      std::fill(queries.front().begin(), queries.front().end(), 0);
+    }
+    std::vector<Bytes> expected;
+    for (const dpf::BitVector& bits : queries) {
+      expected.push_back(reference(bits));
+    }
 
-  std::vector<Bytes> serial_batch, parallel_batch;
-  db.AnswerBatch(queries, serial_batch);
-  db.AnswerBatch(queries, parallel_batch, &pool);
-  ASSERT_EQ(serial_batch.size(), expected.size());
-  ASSERT_EQ(parallel_batch.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(serial_batch[i], expected[i]) << "query " << i;
-    EXPECT_EQ(parallel_batch[i], expected[i])
-        << "query " << i << " threads=" << threads << " d=" << d;
+    for (const XorTier tier :
+         {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
+      if (!SetXorTier(tier)) continue;
+      std::vector<Bytes> serial_batch, parallel_batch;
+      db.AnswerBatch(queries, serial_batch);
+      db.AnswerBatch(queries, parallel_batch, &pool);
+      ASSERT_EQ(serial_batch.size(), batch);
+      ASSERT_EQ(parallel_batch.size(), batch);
+      for (std::size_t q = 0; q < batch; ++q) {
+        EXPECT_EQ(serial_batch[q], expected[q])
+            << "query " << q << " batch=" << batch << " "
+            << XorTierName(tier);
+        EXPECT_EQ(parallel_batch[q], expected[q])
+            << "query " << q << " batch=" << batch << " " << XorTierName(tier)
+            << " threads=" << threads << " d=" << d;
+        Bytes single(record_size, 0xee);
+        db.Answer(queries[q], single, &pool);
+        EXPECT_EQ(single, expected[q])
+            << "Answer, query " << q << " " << XorTierName(tier);
+      }
+    }
   }
 }
 
