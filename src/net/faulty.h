@@ -9,11 +9,16 @@
 //   DelayTransport       — peer is slow: burns deadline budget on receive
 //   CorruptingTransport  — in-path tamperer flips a payload bit
 //   RecordingTransport   — captures sent frames for wire-level assertions
+//   GatedCloseTransport  — Close() stalls at a Gate until the test opens it
 //
 // DelayTransport is what makes deadline tests deterministic: it sleeps on
 // the *deadline's* clock, so with a FakeClock a "slow peer" consumes the
 // whole budget and returns DEADLINE_EXCEEDED in zero wall-clock time —
 // exactly the observable behaviour of a real stall (docs/ROBUSTNESS.md).
+//
+// GatedCloseTransport does the same for races: whoever closes the
+// transport stops at the gate, so a test can act inside the window between
+// a link dropping its stream and the link's next step, without sleeps.
 //
 // All decorators are thread-safe to the same degree as the inner transport
 // (counters are atomic; RecordingTransport's log is mutex-guarded).
@@ -21,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -212,6 +218,65 @@ class RecordingTransport final : public Transport {
  private:
   std::unique_ptr<Transport> inner_;
   FrameLog* log_;
+};
+
+// A latch a test opens by hand. Shared between the test and a
+// GatedCloseTransport, which the code under test owns.
+class Gate {
+ public:
+  // Blocks until Open(); arrivals are counted for WaitForArrival.
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrivals_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+  // True once some Pass() has begun, false if none did within `budget`
+  // (real time: the caller is a test thread waiting on another thread).
+  bool WaitForArrival(std::chrono::nanoseconds budget) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, budget, [this] { return arrivals_ > 0; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrivals_ = 0;
+  bool open_ = false;
+};
+
+// Stalls every Close() at `gate` before closing the inner transport.
+// Sends and receives pass through untouched.
+class GatedCloseTransport final : public Transport {
+ public:
+  GatedCloseTransport(std::unique_ptr<Transport> inner,
+                      std::shared_ptr<Gate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+
+  using Transport::Receive;
+  using Transport::Send;
+
+  Status Send(const Frame& frame, const Deadline& deadline) override {
+    return inner_->Send(frame, deadline);
+  }
+  Result<Frame> Receive(const Deadline& deadline) override {
+    return inner_->Receive(deadline);
+  }
+  void Close() override {
+    gate_->Pass();
+    inner_->Close();
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::shared_ptr<Gate> gate_;
 };
 
 }  // namespace lw::net

@@ -222,6 +222,10 @@ Metrics& M() {
       Registry::Default().AddCounter(
           "lw_scan_busy_ns_total", "wall time spent inside scan passes",
           "ns"),
+      Registry::Default().AddCounter(
+          "lw_scan_project_ns_total",
+          "wall time scan passes spent projecting selection bits onto rows",
+          "ns"),
       Registry::Default().AddHistogram("lw_scan_pass_ns",
                                        "latency of one scan pass", "ns",
                                        LatencyBounds()),

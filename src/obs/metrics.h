@@ -214,11 +214,13 @@ struct Metrics {
 
   // Blob-database scans. ns/record = busy_ns / rows_scanned; average
   // rows per pass (≈ rows per shard) = rows_scanned / passes; row XORs per
-  // scanned row = row_xors / rows_scanned (≤ ⌈B/4⌉ for a batch of B).
+  // scanned row = row_xors / rows_scanned (≤ ⌈B/4⌉ for a batch of B);
+  // projection share of scan time = project_ns / busy_ns.
   Counter& scan_rows_scanned;
   Counter& scan_row_xors;
   Counter& scan_passes;
   Counter& scan_busy_ns;
+  Counter& scan_project_ns;
   Histogram& scan_pass_ns;
 
   // DPF expansion (full-domain or shard sub-tree), per evaluation.

@@ -40,10 +40,10 @@ constexpr std::size_t kChunksPerShard = 16;
 // single-query scan reads only the rows its query selects, so it fetches a
 // row's first cache line. The grouped scan reads nearly every row in full
 // (a row misses all of a B-query batch's groups with probability 2^-B), so
-// it fetches the whole row into L2, and per query the selection word
-// holding the row's bit (a random read into each query's bit vector). A
-// 4 KiB record is a 4 KiB page, where the hardware streamer stops, so
-// without the whole-row prefetch every row would start on a DRAM miss.
+// it fetches the whole row into L2. A 4 KiB record is a 4 KiB page, where
+// the hardware streamer stops, so without the whole-row prefetch every row
+// would start on a DRAM miss. Selection bits need no prefetch: every
+// pass reads them from row-order planes, sequentially (see Scan).
 constexpr std::size_t kPrefetchRows = 4;
 
 inline void Prefetch(const void* p) {
@@ -151,7 +151,7 @@ std::size_t BlobDatabase::ScanShards(ThreadPool* pool) const {
       1, std::min(static_cast<std::size_t>(pool->thread_count()), by_rows));
 }
 
-std::uint64_t BlobDatabase::ScanRows(const std::uint64_t* bits,
+std::uint64_t BlobDatabase::ScanRows(const std::uint64_t* plane,
                                      std::size_t row_begin,
                                      std::size_t row_end,
                                      std::uint8_t* acc) const {
@@ -160,8 +160,7 @@ std::uint64_t BlobDatabase::ScanRows(const std::uint64_t* bits,
     if (row + kPrefetchRows < row_end) {
       Prefetch(records_.data() + (row + kPrefetchRows) * row_stride_);
     }
-    const std::uint64_t index = slot_index_[row];
-    if ((bits[index >> 6] >> (index & 63)) & 1) {
+    if ((plane[row >> 6] >> (row & 63)) & 1) {
       XorBytes(acc, records_.data() + row * row_stride_, record_size_);
       ++row_xors;
     }
@@ -169,7 +168,22 @@ std::uint64_t BlobDatabase::ScanRows(const std::uint64_t* bits,
   return row_xors;
 }
 
-std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* const* bits,
+void BlobDatabase::Project(const std::uint64_t* bits,
+                           std::uint64_t* plane) const {
+  const std::size_t n = slot_index_.size();
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t end = std::min(n, base + 64);
+    std::uint64_t word = 0;
+    for (std::size_t row = base; row < end; ++row) {
+      const std::uint64_t index = slot_index_[row];
+      word |= ((bits[index >> 6] >> (index & 63)) & 1) << (row - base);
+    }
+    plane[base / 64] = word;
+  }
+}
+
+std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
+                                            std::size_t plane_words,
                                             std::size_t nq,
                                             std::size_t row_begin,
                                             std::size_t row_end,
@@ -183,21 +197,20 @@ std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* const* bits,
     if (row + kPrefetchRows < row_end) {
       PrefetchToL2(records_.data() + (row + kPrefetchRows) * row_stride_,
                    record_size_);
-      const std::uint64_t ahead = slot_index_[row + kPrefetchRows] >> 6;
-      for (std::size_t q = 0; q < nq; ++q) Prefetch(bits[q] + ahead);
     }
     // The row's selection bits, four queries at a time, index one table
     // entry per group: whichever of the group's queries select the row,
     // the row is XORed once (the Method of Four Russians).
-    const std::uint64_t word = slot_index_[row] >> 6;
-    const std::uint64_t shift = slot_index_[row] & 63;
+    const std::size_t word = row >> 6;
+    const std::size_t shift = row & 63;
     std::size_t k = 0;
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t q0 = g * kGroupSize;
       const std::size_t q1 = std::min(nq, q0 + kGroupSize);
       std::size_t pattern = 0;
       for (std::size_t q = q0; q < q1; ++q) {
-        pattern |= static_cast<std::size_t>((bits[q][word] >> shift) & 1)
+        pattern |= static_cast<std::size_t>(
+                       (planes[q * plane_words + word] >> shift) & 1)
                    << (q - q0);
       }
       if (pattern != 0) {
@@ -253,6 +266,27 @@ void BlobDatabase::Scan(const std::uint64_t* const* bits,
   const std::size_t chunk_rows =
       std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
   const std::size_t chunks = (n + chunk_rows - 1) / chunk_rows;
+  // The sweep reads its selection bits in row order. Rows sit at random
+  // domain indices, so reading bit slot_index_[row] of each query's domain
+  // vector per row would be B random reads into B·2^d/8 bytes beside the
+  // row stream. Instead, one task per query first gathers that query's
+  // bits into a packed plane of ⌈n/64⌉ words (bit r of plane q selects row
+  // r), which the sweep then reads sequentially. The projection runs
+  // inside the pass, so it sees the same row layout as the sweep.
+  const auto project_start = std::chrono::steady_clock::now();
+  const std::size_t plane_words = (n + 63) / 64;
+  std::vector<std::uint64_t> planes(nq * plane_words);
+  const auto project = [&](std::size_t q0, std::size_t q1) {
+    for (std::size_t q = q0; q < q1; ++q) {
+      Project(bits[q], planes.data() + q * plane_words);
+    }
+  };
+  if (shards <= 1) {
+    project(0, nq);
+  } else {
+    pool->ParallelFor(0, nq, 1, project);
+  }
+  obs::M().scan_project_ns.Inc(obs::ElapsedNs(project_start));
   std::atomic<std::size_t> next_chunk{0};
   // A single query XORs each selected row straight into its accumulator:
   // routed through the tables, its cache-cold shard scans ran ~13 % slower.
@@ -263,9 +297,10 @@ void BlobDatabase::Scan(const std::uint64_t* const* bits,
       if (c >= chunks) break;
       const std::size_t row_begin = c * chunk_rows;
       const std::size_t row_end = std::min(n, row_begin + chunk_rows);
-      row_xors += nq == 1 ? ScanRows(bits[0], row_begin, row_end, block)
-                          : ScanRowsGrouped(bits, nq, row_begin, row_end,
-                                            block + acc_block);
+      row_xors += nq == 1
+                      ? ScanRows(planes.data(), row_begin, row_end, block)
+                      : ScanRowsGrouped(planes.data(), plane_words, nq,
+                                        row_begin, row_end, block + acc_block);
     }
     if (nq > 1) FoldTables(nq, block + acc_block, block);
     obs::M().scan_row_xors.Inc(row_xors);

@@ -18,10 +18,14 @@
 // row costs at most ⌈B/4⌉ XORs however many queries select it. Each
 // query's answer is then the XOR of its group's entries whose pattern
 // selects it. A single query XORs its selected rows straight into one
-// accumulator. With a ThreadPool the scan runs one shard per worker, each
-// with private tables and accumulators; the shards claim row chunks from a
-// shared cursor, so a slow worker's rows go to the others, and a tree
-// reduction combines the shards (the multi-core server of §5.1).
+// accumulator. Either way, a pass first projects each query's DPF bits
+// onto the stored rows, one pool task per query: rows sit at random domain
+// indices, and the sweep then reads the bits in row order from packed
+// planes instead of making a random read per query and row. With a
+// ThreadPool the scan runs one shard per worker, each with private tables
+// and accumulators; the shards claim row chunks from a shared cursor, so a
+// slow worker's rows go to the others, and a tree reduction combines the
+// shards (the multi-core server of §5.1).
 #pragma once
 
 #include <cstdint>
@@ -102,20 +106,26 @@ class BlobDatabase {
  private:
   // One scan pass for nq ≥ 1 queries: bits[q] is query q's packed
   // selection vector, and its answer (record_size bytes) lands at outs[q].
-  // Row shards claim row chunks and run ScanRows on them for one query,
-  // ScanRowsGrouped for more.
+  // The pass first projects every query's bits onto the rows (Project);
+  // then row shards claim row chunks and run ScanRows on them for one
+  // query, ScanRowsGrouped for more.
   void Scan(const std::uint64_t* const* bits, std::uint8_t* const* outs,
             std::size_t nq, ThreadPool* pool) const;
-  // XORs rows [row_begin, row_end) selected by `bits` into acc
-  // (record_size bytes). Returns the row XORs issued.
-  std::uint64_t ScanRows(const std::uint64_t* bits, std::size_t row_begin,
+  // Writes bit slot_index_[r] of the domain vector `bits` to bit r of
+  // `plane` for every stored row r, in row order: ⌈record_count/64⌉
+  // words, the last one zero-padded.
+  void Project(const std::uint64_t* bits, std::uint64_t* plane) const;
+  // XORs rows [row_begin, row_end) selected by the row-order `plane` into
+  // acc (record_size bytes). Returns the row XORs issued.
+  std::uint64_t ScanRows(const std::uint64_t* plane, std::size_t row_begin,
                          std::size_t row_end, std::uint8_t* acc) const;
-  // Grouped-table scan of rows [row_begin, row_end) for nq ≥ 2 queries:
-  // XORs each row into its groups' entries of `tables`, zeroed by the
-  // caller before a shard's first chunk. Returns the row XORs issued.
-  std::uint64_t ScanRowsGrouped(const std::uint64_t* const* bits,
-                                std::size_t nq, std::size_t row_begin,
-                                std::size_t row_end,
+  // Grouped-table scan of rows [row_begin, row_end) for nq ≥ 2 queries,
+  // whose row-order planes lie plane_words apart in `planes`: XORs each
+  // row into its groups' entries of `tables`, zeroed by the caller before
+  // a shard's first chunk. Returns the row XORs issued.
+  std::uint64_t ScanRowsGrouped(const std::uint64_t* planes,
+                                std::size_t plane_words, std::size_t nq,
+                                std::size_t row_begin, std::size_t row_end,
                                 std::uint8_t* tables) const;
   // Folds a shard's tables into accs + q * row_stride() per query q, once
   // after the shard's last chunk.

@@ -232,10 +232,12 @@ Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
 class ShardFanout::Mux {
  public:
   // One outstanding private GET: the XOR accumulator, which links still
-  // owe a reply, and the completion callback.
+  // owe a reply, the link generation each link queued it under (0 = not
+  // yet queued), and the completion callback.
   struct Op {
     Bytes acc;
     std::vector<bool> awaiting;
+    std::vector<std::uint64_t> queued_gen;
     std::size_t remaining = 0;
     AnswerCallback done;
     bool has_deadline = false;
@@ -299,6 +301,7 @@ class ShardFanout::Mux {
         Op op;
         op.acc.assign(topology_.record_size, 0);
         op.awaiting.assign(n, true);
+        op.queued_gen.assign(n, 0);
         op.remaining = n;
         op.done = std::move(done);
         op.start = clock_->Now();
@@ -391,14 +394,27 @@ class ShardFanout::Mux {
     op->done(ShardStatus(link, why));
   }
 
-  // The link's stream is gone or desynced: every op still awaiting it
-  // fails now, rather than reading someone else's reply later.
-  void OnLinkDown(std::size_t link, const Status& why) {
+  // Link `link` queued op `op_id` for its stream of generation `gen`
+  // (generations start at 1 and rise each time the link drops a stream).
+  // Links call this under their own lock, in the same critical section
+  // that reads the generation, so a reset cannot slip between the two.
+  void MarkQueued(std::uint32_t op_id, std::size_t link, std::uint64_t gen) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = ops_.find(op_id);
+    if (it != ops_.end()) it->second.queued_gen[link] = gen;
+  }
+
+  // The link's stream of generation `gen` is gone or desynced: every op
+  // still awaiting a reply on it fails now, rather than reading someone
+  // else's reply later. Ops queued since, for the link's next stream, and
+  // ops not yet queued on it are left alone.
+  void OnLinkDown(std::size_t link, std::uint64_t gen, const Status& why) {
     std::vector<Op> hit;
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto it = ops_.begin(); it != ops_.end();) {
-        if (it->second.awaiting[link]) {
+        const std::uint64_t queued = it->second.queued_gen[link];
+        if (it->second.awaiting[link] && queued != 0 && queued <= gen) {
           hit.push_back(std::move(it->second));
           it = ops_.erase(it);
         } else {
@@ -532,17 +548,19 @@ class TransportLink final : public ShardFanout::Mux::Link {
   void Enqueue(std::uint32_t op_id, net::Frame frame) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // A null transport with a redial factory means a fresh dial may be
-      // mid-flight: queue, and the writer picks the frame up once the new
-      // stream is installed (the op deadline bounds the wait either way).
-      if (!stopping_ && (transport_ != nullptr || redial_)) {
+      // A null transport while a redial is in flight: queue, and the writer
+      // picks the frame up once the new stream is installed (the op
+      // deadline bounds the wait either way).
+      if (!stopping_ && (transport_ != nullptr || redialing_)) {
+        mux_->MarkQueued(op_id, index_, generation_);
         outbox_.push_back({op_id, std::move(frame)});
         cv_.notify_all();
         return;
       }
     }
-    // Link permanently down (dead with no redial factory, or shut down):
-    // fail fast rather than queueing against a shard that cannot answer.
+    // Link permanently down (dead with no redial factory or a failed
+    // redial, or shut down): fail fast rather than queueing against a
+    // shard that cannot answer.
     mux_->FailOp(op_id, index_,
                  UnavailableError(stopped() ? "shard link shut down"
                                             : "shard link down"));
@@ -626,11 +644,13 @@ class TransportLink final : public ShardFanout::Mux::Link {
     }
   }
 
-  // Drops `failed` (if still current), fails every op awaiting this link,
-  // and — with a factory — dials a replacement. Reader and writer both
-  // funnel here; whichever loses the race becomes a no-op.
+  // Drops `failed` (if still current) and ends its generation: every op
+  // queued under it fails, while an op queued from here on waits for the
+  // replacement a factory dials. Reader and writer both funnel here;
+  // whichever loses the race becomes a no-op.
   void Reset(const std::shared_ptr<net::Transport>& failed,
              const Status& why) {
+    std::uint64_t dead = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_ || transport_ != failed) return;
@@ -638,14 +658,25 @@ class TransportLink final : public ShardFanout::Mux::Link {
       // Queued frames belong to ops the OnLinkDown below is about to fail;
       // sending them on a fresh stream would only produce stale replies.
       outbox_.clear();
+      dead = generation_++;
+      redialing_ = static_cast<bool>(redial_);
     }
     failed->Close();
-    mux_->OnLinkDown(index_, why);
+    mux_->OnLinkDown(index_, dead, why);
     if (!redial_) return;
     auto fresh = redial_();
-    if (!fresh.ok()) return;  // stays down; ops fail fast in Enqueue
+    std::unique_lock<std::mutex> lock(mu_);
+    redialing_ = false;
+    if (!fresh.ok()) {
+      // The link stays down: ops queued for the redial fail with its
+      // error, and later ones fail fast in Enqueue.
+      outbox_.clear();
+      dead = generation_++;
+      lock.unlock();
+      mux_->OnLinkDown(index_, dead, fresh.status());
+      return;
+    }
     obs::M().fanout_redials.Inc();
-    std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       (*fresh)->Close();
       return;
@@ -664,6 +695,10 @@ class TransportLink final : public ShardFanout::Mux::Link {
   // Reset swaps it; the failed instance stays alive until both let go.
   std::shared_ptr<net::Transport> transport_;
   std::deque<std::pair<std::uint32_t, net::Frame>> outbox_;
+  // The current stream's generation; Reset ends it. Ops are marked with
+  // the generation they were queued under, so a reset fails only its own.
+  std::uint64_t generation_ = 1;
+  bool redialing_ = false;  // a Reset is dialing a replacement stream
   bool stopping_ = false;
 
   std::thread reader_;
@@ -693,9 +728,9 @@ class ReactorLink final : public ShardFanout::Mux::Link {
       const Status s = mux_->OnReply(index_, std::move(frame));
       if (!s.ok()) {
         // Desynced stream (uncorrelatable shard error frame): fail the
-        // ops awaiting us and drop the connection; the next op re-dials.
-        Forget(id);
-        mux_->OnLinkDown(index_, s);
+        // ops sent on it and drop the connection; the next op re-dials.
+        std::uint64_t dead = 0;
+        if (Forget(id, &dead)) mux_->OnLinkDown(index_, dead, s);
         reactor_.Close(id);
       }
     };
@@ -703,9 +738,11 @@ class ReactorLink final : public ShardFanout::Mux::Link {
       // Forget() false: Shutdown or the on_frame error path already
       // disowned this conn, or the dial lost so quickly that Dial() has
       // not stored the id yet (recorded so Dial does not adopt a corpse).
-      if (Forget(id)) {
+      std::uint64_t dead = 0;
+      if (Forget(id, &dead)) {
         mux_->OnLinkDown(
-            index_, why.ok() ? UnavailableError("shard link closed") : why);
+            index_, dead,
+            why.ok() ? UnavailableError("shard link closed") : why);
       }
       std::lock_guard<std::mutex> lock(mu_);
       early_closed_.push_back(id);
@@ -750,6 +787,7 @@ class ReactorLink final : public ShardFanout::Mux::Link {
           conn = 0;
         } else {
           conn = conn_;
+          if (conn != 0) mux_->MarkQueued(op_id, index_, generation_);
         }
       }
       if (conn == 0) {
@@ -769,6 +807,7 @@ class ReactorLink final : public ShardFanout::Mux::Link {
         obs::M().fanout_redials.Inc();
         std::lock_guard<std::mutex> lock(mu_);
         conn = conn_;
+        mux_->MarkQueued(op_id, index_, generation_);
       }
     }
     const Status sent = reactor_.Send(conn, frame);
@@ -801,13 +840,15 @@ class ReactorLink final : public ShardFanout::Mux::Link {
     return stopping_;
   }
 
-  // Clears conn_ if it still names `id`; false means this close was
-  // already handled (Shutdown or a newer dial took over), or the id was
-  // never stored (the dial lost instantly).
-  bool Forget(net::Reactor::ConnId id) {
+  // Clears conn_ if it still names `id` and ends its generation, stored
+  // in *dead; false means this close was already handled (Shutdown or a
+  // newer dial took over), or the id was never stored (the dial lost
+  // instantly).
+  bool Forget(net::Reactor::ConnId id, std::uint64_t* dead) {
     std::lock_guard<std::mutex> lock(mu_);
     if (conn_ != id) return false;
     conn_ = 0;
+    *dead = generation_++;
     return true;
   }
 
@@ -820,6 +861,8 @@ class ReactorLink final : public ShardFanout::Mux::Link {
   std::mutex dial_mu_;  // held across Dial(); taken before mu_
   std::mutex mu_;
   net::Reactor::ConnId conn_ = 0;
+  // conn_'s generation; Forget ends it, as TransportLink's Reset does.
+  std::uint64_t generation_ = 1;
   // Dials whose on_close has not yet been delivered; Shutdown waits for 0.
   int pending_closes_ = 0;
   std::condition_variable closed_cv_;

@@ -262,6 +262,48 @@ TEST(Fanout, SendFailureOnOneShardFailsOpAndLateRepliesDrop) {
   EXPECT_EQ(*after, deployment.DirectAnswer(q.key1));
 }
 
+TEST(Fanout, OpQueuedWhileLinkResetsRidesTheFreshStream) {
+  TwoShards deployment;
+  // Shard 1's link dies on its first send, and the reset that drops the
+  // dead stream stalls at a gate when it closes it. In that window the
+  // link has dropped the stream but not yet failed the ops sent on it. An
+  // op queued now belongs to the redialed stream: it must ride that
+  // stream, not fail with the dead one's ops.
+  auto gate = std::make_shared<net::Gate>();
+  std::promise<Result<Bytes>> first;
+  std::promise<Result<Bytes>> second;
+  FanoutOptions options;
+  options.redial = {deployment.RedialFactory(0), deployment.RedialFactory(1)};
+  std::vector<std::unique_ptr<net::Transport>> links;
+  links.push_back(deployment.ServedLink(0));
+  links.push_back(std::make_unique<net::GatedCloseTransport>(
+      std::make_unique<net::DyingTransport>(deployment.ServedLink(1),
+                                            /*ops_before_death=*/1),
+      gate));
+  ShardFanout fanout(deployment.topology, std::move(links),
+                     std::move(options));
+
+  const pir::QueryKeys q =
+      pir::MakeIndexQuery(11, deployment.topology.domain_bits);
+  fanout.AnswerAsync(q.key0,
+                     [&](Result<Bytes> r) { first.set_value(std::move(r)); });
+  const bool stalled = gate->WaitForArrival(std::chrono::seconds(10));
+  if (stalled) {
+    fanout.AnswerAsync(
+        q.key1, [&](Result<Bytes> r) { second.set_value(std::move(r)); });
+  }
+  gate->Open();
+  ASSERT_TRUE(stalled) << "shard 1's link never reset";
+
+  const Result<Bytes> hit = first.get_future().get();
+  ASSERT_FALSE(hit.ok());
+  EXPECT_EQ(hit.status().code(), StatusCode::kUnavailable)
+      << hit.status().ToString();
+  const Result<Bytes> after = second.get_future().get();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, deployment.DirectAnswer(q.key1));
+}
+
 TEST(Fanout, FlakyShardLinkRecoversViaRedial) {
   TwoShards deployment;
   FanoutOptions options;

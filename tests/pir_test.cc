@@ -129,6 +129,83 @@ TEST(BlobDb, ScanCountsOneRowXorPerSelectingGroup) {
   EXPECT_EQ(row_xors.Value() - before, 0u);
 }
 
+// Every pass reads its selection bits from row-order planes of ⌈rows/64⌉
+// words. Stores whose last plane word is partial (63 rows), exactly full
+// (64), or one row past full (65, 129) must still answer every query
+// exactly, batched or alone, including one that selects only the last row.
+TEST(BlobDb, BatchSelectsRowsAcrossPlaneWordEdges) {
+  constexpr int kDomainBits = 10;
+  constexpr std::size_t kRecordSize = 40;
+  for (const std::uint64_t rows : {63u, 64u, 65u, 129u}) {
+    BlobDatabase db(kDomainBits, kRecordSize);
+    Rng rng(rows);
+    // An odd multiplier permutes the domain, so row order is not index
+    // order.
+    const auto index_of_row = [](std::uint64_t row) {
+      return (row * 389) % (std::uint64_t{1} << kDomainBits);
+    };
+    for (std::uint64_t row = 0; row < rows; ++row) {
+      Bytes rec(kRecordSize);
+      rng.Fill(rec);
+      ASSERT_TRUE(db.Insert(index_of_row(row), rec).ok());
+    }
+    const std::size_t words = (std::size_t{1} << kDomainBits) / 64;
+    std::vector<dpf::BitVector> queries(5, dpf::BitVector(words, 0));
+    const std::uint64_t last = index_of_row(rows - 1);
+    queries[0][last >> 6] |= std::uint64_t{1} << (last & 63);
+    std::fill(queries[1].begin(), queries[1].end(), ~std::uint64_t{0});
+    for (std::size_t q = 2; q < queries.size(); ++q) {
+      for (std::uint64_t& w : queries[q]) w = rng.Next();
+    }
+    std::vector<Bytes> answers;
+    db.AnswerBatch(queries, answers);
+    ASSERT_EQ(answers.size(), queries.size());
+    EXPECT_EQ(answers[0], db.Get(last).value()) << "rows=" << rows;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      Bytes expected(kRecordSize, 0);
+      for (std::uint64_t row = 0; row < rows; ++row) {
+        if (dpf::GetBit(queries[q], index_of_row(row)) == 0) continue;
+        const Bytes rec = db.Get(index_of_row(row)).value();
+        for (std::size_t i = 0; i < kRecordSize; ++i) expected[i] ^= rec[i];
+      }
+      EXPECT_EQ(answers[q], expected) << "query " << q << " rows=" << rows;
+      Bytes single(kRecordSize);
+      db.Answer(queries[q], single);
+      EXPECT_EQ(single, expected) << "Answer, query " << q << " rows=" << rows;
+    }
+  }
+}
+
+// lw_scan_project_ns_total adds each pass's projection time once: every
+// pass, single-query or batched, projects its queries' bits onto the rows
+// first, and that time is part of the pass's lw_scan_busy_ns_total.
+TEST(BlobDb, ScanProjectionTimeIsPartOfEveryPass) {
+  BlobDatabase db(10, 64);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(db.Insert(i * 2, RecordOf(static_cast<std::uint8_t>(i), 64))
+                    .ok());
+  }
+  const dpf::BitVector all(16, ~std::uint64_t{0});
+  obs::Counter& project_ns = obs::M().scan_project_ns;
+  obs::Counter& busy_ns = obs::M().scan_busy_ns;
+
+  std::uint64_t project_before = project_ns.Value();
+  std::uint64_t busy_before = busy_ns.Value();
+  Bytes out(64);
+  db.Answer(all, out);
+  EXPECT_GT(project_ns.Value() - project_before, 0u);
+  EXPECT_LE(project_ns.Value() - project_before,
+            busy_ns.Value() - busy_before);
+
+  project_before = project_ns.Value();
+  busy_before = busy_ns.Value();
+  std::vector<Bytes> answers;
+  db.AnswerBatch({all, all}, answers);
+  EXPECT_GT(project_ns.Value() - project_before, 0u);
+  EXPECT_LE(project_ns.Value() - project_before,
+            busy_ns.Value() - busy_before);
+}
+
 TEST(BlobDb, XorBytesAllLengths) {
   Rng rng(7);
   for (std::size_t n : {0u, 1u, 7u, 8u, 31u, 32u, 33u, 100u, 4096u}) {
@@ -412,45 +489,68 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
   // full group, full groups followed by a partial one.
   const std::size_t words = (domain + 63) / 64;
   ScopedXorTier restore;
-  for (const std::size_t batch : {1u, 3u, 4u, 5u, 16u, 17u, 33u}) {
-    std::vector<dpf::BitVector> queries(batch, dpf::BitVector(words));
-    for (dpf::BitVector& bits : queries) {
-      for (std::uint64_t& w : bits) w = rng.Next();
-    }
-    // The last query selects every row and, from two queries up, the first
-    // selects none, so each batch asks for both edge answers.
-    std::fill(queries.back().begin(), queries.back().end(),
-              ~std::uint64_t{0});
-    if (batch >= 2) {
-      std::fill(queries.front().begin(), queries.front().end(), 0);
-    }
-    std::vector<Bytes> expected;
-    for (const dpf::BitVector& bits : queries) {
-      expected.push_back(reference(bits));
-    }
+  const auto sweep = [&](const char* layout) {
+    for (const std::size_t batch : {1u, 3u, 4u, 5u, 16u, 17u, 33u}) {
+      std::vector<dpf::BitVector> queries(batch, dpf::BitVector(words));
+      for (dpf::BitVector& bits : queries) {
+        for (std::uint64_t& w : bits) w = rng.Next();
+      }
+      // The last query selects every row and, from two queries up, the first
+      // selects none, so each batch asks for both edge answers.
+      std::fill(queries.back().begin(), queries.back().end(),
+                ~std::uint64_t{0});
+      if (batch >= 2) {
+        std::fill(queries.front().begin(), queries.front().end(), 0);
+      }
+      std::vector<Bytes> expected;
+      for (const dpf::BitVector& bits : queries) {
+        expected.push_back(reference(bits));
+      }
 
-    for (const XorTier tier :
-         {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
-      if (!SetXorTier(tier)) continue;
-      std::vector<Bytes> serial_batch, parallel_batch;
-      db.AnswerBatch(queries, serial_batch);
-      db.AnswerBatch(queries, parallel_batch, &pool);
-      ASSERT_EQ(serial_batch.size(), batch);
-      ASSERT_EQ(parallel_batch.size(), batch);
-      for (std::size_t q = 0; q < batch; ++q) {
-        EXPECT_EQ(serial_batch[q], expected[q])
-            << "query " << q << " batch=" << batch << " "
-            << XorTierName(tier);
-        EXPECT_EQ(parallel_batch[q], expected[q])
-            << "query " << q << " batch=" << batch << " " << XorTierName(tier)
-            << " threads=" << threads << " d=" << d;
-        Bytes single(record_size, 0xee);
-        db.Answer(queries[q], single, &pool);
-        EXPECT_EQ(single, expected[q])
-            << "Answer, query " << q << " " << XorTierName(tier);
+      for (const XorTier tier :
+           {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
+        if (!SetXorTier(tier)) continue;
+        std::vector<Bytes> serial_batch, parallel_batch;
+        db.AnswerBatch(queries, serial_batch);
+        db.AnswerBatch(queries, parallel_batch, &pool);
+        ASSERT_EQ(serial_batch.size(), batch);
+        ASSERT_EQ(parallel_batch.size(), batch);
+        for (std::size_t q = 0; q < batch; ++q) {
+          EXPECT_EQ(serial_batch[q], expected[q])
+              << "query " << q << " batch=" << batch << " "
+              << XorTierName(tier) << " " << layout;
+          EXPECT_EQ(parallel_batch[q], expected[q])
+              << "query " << q << " batch=" << batch << " " << XorTierName(tier)
+              << " threads=" << threads << " d=" << d << " " << layout;
+          Bytes single(record_size, 0xee);
+          db.Answer(queries[q], single, &pool);
+          EXPECT_EQ(single, expected[q]) << "Answer, query " << q << " "
+                                         << XorTierName(tier) << " " << layout;
+        }
       }
     }
+  };
+  sweep("as inserted");
+
+  // Remove about a third of the stored indices and insert fresh ones:
+  // swap-removes move rows and rewrite the row-to-index map, and the
+  // batch's selection planes must follow the new row layout.
+  std::vector<std::uint64_t> removed;
+  for (const std::uint64_t index : stored) {
+    if (rng.UniformInt(3) == 0) removed.push_back(index);
   }
+  for (const std::uint64_t index : removed) {
+    ASSERT_TRUE(db.Remove(index).ok());
+    stored.erase(index);
+  }
+  for (std::size_t i = 0; i < removed.size(); ++i) {
+    Bytes rec(record_size);
+    rng.Fill(rec);
+    const std::uint64_t index = rng.UniformInt(domain);
+    ASSERT_TRUE(db.Upsert(index, rec).ok());
+    stored.insert(index);
+  }
+  sweep("after swap-removes");
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolsAndDomains, BlobDbParallelTest,
