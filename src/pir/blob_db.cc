@@ -16,8 +16,8 @@ namespace {
 // Queries per table group of the batch scan. A group of G queries needs
 // 2^G table entries and costs a row at most one XOR, so G trades XOR work
 // (≤ ⌈B/G⌉ per row) against table space (⌈B/G⌉·2^G rows per shard). At
-// G = 4 a 16-query batch's tables take 64 rows, 256 KiB at 4 KiB records,
-// and stay in L2. G = 8 scanned a 16-query batch no faster on a Xeon with
+// G = 4 a 16-query batch's tables take 64 entries, 260 KiB at 4 KiB
+// records (entries sit 4160 B apart, see kTableSkew), and stay in L2. G = 8 scanned a 16-query batch no faster on a Xeon with
 // 2 MiB of L2 per core, and its tables filled that whole L2.
 constexpr std::size_t kGroupSize = 4;
 constexpr std::size_t kGroupEntries = std::size_t{1} << kGroupSize;
@@ -36,14 +36,40 @@ std::size_t TableEntries(std::size_t nq) {
 // 16, a chunk of a 1 GiB store over two shards is 32 MiB, a few ms.
 constexpr std::size_t kChunksPerShard = 16;
 
-// Rows ahead of the current one to pull into cache during a scan. A
-// single-query scan reads only the rows its query selects, so it fetches a
-// row's first cache line. The grouped scan reads nearly every row in full
-// (a row misses all of a B-query batch's groups with probability 2^-B), so
-// it fetches the whole row into L2. A 4 KiB record is a 4 KiB page, where
-// the hardware streamer stops, so without the whole-row prefetch every row
-// would start on a DRAM miss. Selection bits need no prefetch: every
-// pass reads them from row-order planes, sequentially (see Scan).
+// The grouped scan sweeps a chunk in blocks of kBlockRows rows, one column
+// slice at a time: slice c of every row of a block is XORed into slice c
+// of its table entries before slice c + 1 starts. Row-major, a 16-query
+// batch read-modify-writes ~3.75 whole 4 KiB entries per row, out of
+// 256 KiB of tables that live in L2. Blocked, the slice of the tables a
+// block XORs into stays in L1 (kL1TableBudget bytes) for all its rows,
+// while the block's row slices come from L2, where the previous block
+// prefetched them.
+constexpr std::size_t kBlockRows = 32;
+constexpr std::size_t kL1TableBudget = 32 * 1024;
+// The narrowest slice: one four-lane block of the AVX-512 kernel.
+constexpr std::size_t kMinSliceBytes = 256;
+// Table entries sit a cache line more than a row stride apart. At a 4 KiB
+// stride, the same slice of every entry maps to the same L1 sets, and a
+// 16-query batch's 64 entries compete for the 12 ways of a 48 KiB L1d;
+// skewed by a line, the slices spread over the sets.
+constexpr std::size_t kTableSkew = kCacheLineSize;
+
+// Widest power-of-two slice, from kMinSliceBytes up to the record size,
+// whose slices of all `entries` table entries fit kL1TableBudget: 512 B at
+// B = 16 and 4 KiB records, the whole record at B <= 3. It depends only on
+// the batch size and the record size.
+std::size_t SliceBytes(std::size_t entries, std::size_t record_size) {
+  std::size_t slice = kMinSliceBytes;
+  while (slice * 2 <= record_size && slice * 2 * entries <= kL1TableBudget) {
+    slice *= 2;
+  }
+  return slice;
+}
+
+// Rows ahead of the current one that a single-query scan pulls into cache.
+// It reads only the rows its query selects, so it fetches a row's first
+// cache line. Selection bits need no prefetch: every pass reads them from
+// row-order planes, sequentially (see Scan).
 constexpr std::size_t kPrefetchRows = 4;
 
 inline void Prefetch(const void* p) {
@@ -54,26 +80,13 @@ inline void Prefetch(const void* p) {
 #endif
 }
 
-// Prefetches `bytes` from `p` into L2 (locality 2), not L1: a whole row
-// per call would crowd L1's few fill buffers and evict the L1-resident
-// lines of the tables the scan XORs into.
-inline void PrefetchToL2(const std::uint8_t* p, std::size_t bytes) {
-#if defined(__GNUC__) || defined(__clang__)
-  for (std::size_t off = 0; off < bytes; off += kCacheLineSize) {
-    __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/2);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-
 }  // namespace
 
 BlobDatabase::BlobDatabase(int domain_bits, std::size_t record_size)
     : domain_bits_(domain_bits),
       record_size_(record_size),
-      row_stride_(AlignUp(record_size, kCacheLineSize)) {
+      row_stride_(AlignUp(record_size, kCacheLineSize)),
+      table_stride_(row_stride_ + kTableSkew) {
   LW_CHECK_MSG(domain_bits >= 1 && domain_bits <= dpf::kMaxDomainBits,
                "domain_bits out of range");
   LW_CHECK_MSG(record_size > 0, "record_size must be positive");
@@ -189,37 +202,57 @@ std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
                                             std::size_t row_end,
                                             std::uint8_t* tables) const {
   const std::size_t groups = (nq + kGroupSize - 1) / kGroupSize;
-  // Destinations of one XorRowMulti call, at most one entry per group;
-  // hoisted so the row loop never allocates.
-  std::vector<std::uint8_t*> dsts(groups);
+  const std::size_t slice = SliceBytes(TableEntries(nq), record_size_);
+  const std::size_t slices = (record_size_ + slice - 1) / slice;
+  // A block's table-entry offsets, at most one per group and row; hoisted
+  // so the block loop never allocates.
+  std::size_t dst_begin[kBlockRows + 1] = {};
+  std::vector<std::size_t> offsets(kBlockRows * groups);
   std::uint64_t row_xors = 0;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    if (row + kPrefetchRows < row_end) {
-      PrefetchToL2(records_.data() + (row + kPrefetchRows) * row_stride_,
-                   record_size_);
-    }
-    // The row's selection bits, four queries at a time, index one table
+  for (std::size_t block = row_begin; block < row_end; block += kBlockRows) {
+    const std::size_t block_end = std::min(row_end, block + kBlockRows);
+    // Each row's selection bits, four queries at a time, index one table
     // entry per group: whichever of the group's queries select the row,
     // the row is XORed once (the Method of Four Russians).
-    const std::size_t word = row >> 6;
-    const std::size_t shift = row & 63;
     std::size_t k = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t q0 = g * kGroupSize;
-      const std::size_t q1 = std::min(nq, q0 + kGroupSize);
-      std::size_t pattern = 0;
-      for (std::size_t q = q0; q < q1; ++q) {
-        pattern |= static_cast<std::size_t>(
-                       (planes[q * plane_words + word] >> shift) & 1)
-                   << (q - q0);
+    for (std::size_t row = block; row < block_end; ++row) {
+      const std::size_t word = row >> 6;
+      const std::size_t shift = row & 63;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t q0 = g * kGroupSize;
+        const std::size_t q1 = std::min(nq, q0 + kGroupSize);
+        std::size_t pattern = 0;
+        for (std::size_t q = q0; q < q1; ++q) {
+          pattern |= static_cast<std::size_t>(
+                         (planes[q * plane_words + word] >> shift) & 1)
+                     << (q - q0);
+        }
+        if (pattern != 0) {
+          offsets[k++] = (g * kGroupEntries + pattern) * table_stride_;
+        }
       }
-      if (pattern != 0) {
-        dsts[k++] = tables + (g * kGroupEntries + pattern) * row_stride_;
-      }
+      dst_begin[row - block + 1] = k;
     }
-    XorRowMulti(records_.data() + row * row_stride_, dsts.data(), k,
-                record_size_);
     row_xors += k;
+    // The next block of this chunk goes to L2 while this one is swept,
+    // spread evenly over the block's (slice, row) steps: a 4 KiB record
+    // is a 4 KiB page, where the hardware streamer stops.
+    const std::size_t rows = block_end - block;
+    const std::size_t next_end = std::min(row_end, block_end + kBlockRows);
+    const std::size_t next_lines =
+        (next_end - block_end) * row_stride_ / kCacheLineSize;
+    L2Prefetch prefetch{records_.data() + block_end * row_stride_, next_lines,
+                        (next_lines + slices * rows - 1) / (slices * rows)};
+    const XorRows block_rows{records_.data() + block * row_stride_,
+                             row_stride_,
+                             rows,
+                             dst_begin,
+                             offsets.data(),
+                             tables};
+    for (std::size_t c = 0; c < record_size_; c += slice) {
+      XorSliceMulti(block_rows, c, std::min(slice, record_size_ - c),
+                    prefetch);
+    }
   }
   return row_xors;
 }
@@ -227,22 +260,32 @@ std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
 void BlobDatabase::FoldTables(std::size_t nq, const std::uint8_t* tables,
                               std::uint8_t* accs) const {
   const std::size_t groups = (nq + kGroupSize - 1) / kGroupSize;
-  // A folded entry feeds at most one accumulator per query of its group.
-  std::uint8_t* dsts[kGroupSize];
   // Query j of group g selected exactly the rows XORed into the entries
-  // whose pattern has bit j set; fold each entry into those accumulators.
+  // whose pattern has bit j set: the group's entries 1..2^m - 1 are the
+  // rows of one XorSliceMulti call, and each one's destinations are the
+  // accumulators of the queries its pattern selects.
+  std::size_t dst_begin[kGroupEntries];
+  std::size_t offsets[kGroupEntries * kGroupSize];
+  L2Prefetch no_prefetch;
   for (std::size_t g = 0; g < groups; ++g) {
     const std::size_t q0 = g * kGroupSize;
     const std::size_t members = std::min(nq - q0, kGroupSize);
-    for (std::size_t pattern = 1; pattern < (std::size_t{1} << members);
-         ++pattern) {
-      std::size_t k = 0;
+    const std::size_t patterns = std::size_t{1} << members;
+    std::size_t k = 0;
+    dst_begin[0] = 0;
+    for (std::size_t pattern = 1; pattern < patterns; ++pattern) {
       for (std::size_t j = 0; j < members; ++j) {
-        if ((pattern >> j) & 1) dsts[k++] = accs + (q0 + j) * row_stride_;
+        if ((pattern >> j) & 1) offsets[k++] = (q0 + j) * row_stride_;
       }
-      XorRowMulti(tables + (g * kGroupEntries + pattern) * row_stride_, dsts,
-                  k, record_size_);
+      dst_begin[pattern] = k;
     }
+    const XorRows entries{tables + (g * kGroupEntries + 1) * table_stride_,
+                          table_stride_,
+                          patterns - 1,
+                          dst_begin,
+                          offsets,
+                          accs};
+    XorSliceMulti(entries, 0, record_size_, no_prefetch);
   }
 }
 
@@ -253,10 +296,10 @@ void BlobDatabase::Scan(const std::uint64_t* const* bits,
   const std::size_t n = slot_index_.size();
   const std::size_t shards = ScanShards(pool);
   // Per shard, one aligned accumulator per query, row_stride_ apart, then
-  // that shard's tables (a single query needs none).
+  // that shard's tables, table_stride_ apart (a single query needs none).
   const std::size_t acc_block = nq * row_stride_;
   const std::size_t shard_block =
-      acc_block + (nq == 1 ? 0 : TableEntries(nq) * row_stride_);
+      acc_block + (nq == 1 ? 0 : TableEntries(nq) * table_stride_);
   AlignedBytes scratch(shards * shard_block, 0);
   // Each shard claims row chunks from a shared cursor until none are left,
   // so a worker that starts late or runs slow (a descheduled vCPU, a busier

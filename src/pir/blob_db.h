@@ -15,17 +15,20 @@
 // A batch of B ≥ 2 queries runs a grouped-table scan: the queries split
 // into groups of four, and a row is XORed once per group into the table
 // entry its four selection bits name (the Method of Four Russians), so a
-// row costs at most ⌈B/4⌉ XORs however many queries select it. Each
-// query's answer is then the XOR of its group's entries whose pattern
-// selects it. A single query XORs its selected rows straight into one
-// accumulator. Either way, a pass first projects each query's DPF bits
-// onto the stored rows, one pool task per query: rows sit at random domain
-// indices, and the sweep then reads the bits in row order from packed
-// planes instead of making a random read per query and row. With a
-// ThreadPool the scan runs one shard per worker, each with private tables
-// and accumulators; the shards claim row chunks from a shared cursor, so a
-// slow worker's rows go to the others, and a tree reduction combines the
-// shards (the multi-core server of §5.1).
+// row costs at most ⌈B/4⌉ XORs however many queries select it. The sweep
+// takes the rows in blocks of 32 and each block one column slice at a
+// time, so the slice of the tables it XORs into stays in L1; the slice
+// width follows from the batch and record sizes alone. Each query's
+// answer is then the XOR of its group's entries whose pattern selects it.
+// A single query XORs its selected rows straight into one accumulator.
+// Either way, a pass first projects each query's DPF bits onto the stored
+// rows, one pool task per query: rows sit at random domain indices, and
+// the sweep then reads the bits in row order from packed planes instead
+// of making a random read per query and row. With a ThreadPool the scan
+// runs one shard per worker, each with private tables and accumulators;
+// the shards claim row chunks from a shared cursor, so a slow worker's
+// rows go to the others, and a tree reduction combines the shards (the
+// multi-core server of §5.1).
 #pragma once
 
 #include <cstdint>
@@ -121,8 +124,9 @@ class BlobDatabase {
                          std::size_t row_end, std::uint8_t* acc) const;
   // Grouped-table scan of rows [row_begin, row_end) for nq ≥ 2 queries,
   // whose row-order planes lie plane_words apart in `planes`: XORs each
-  // row into its groups' entries of `tables`, zeroed by the caller before
-  // a shard's first chunk. Returns the row XORs issued.
+  // row into its groups' entries of `tables` (table_stride_ apart, zeroed
+  // by the caller before a shard's first chunk), a block of rows and one
+  // column slice per kernel call. Returns the row XORs issued.
   std::uint64_t ScanRowsGrouped(const std::uint64_t* planes,
                                 std::size_t plane_words, std::size_t nq,
                                 std::size_t row_begin, std::size_t row_end,
@@ -137,6 +141,9 @@ class BlobDatabase {
   int domain_bits_;
   std::size_t record_size_;
   std::size_t row_stride_;
+  // Bytes between the grouped scan's table entries: a row stride plus one
+  // cache line (see kTableSkew in blob_db.cc).
+  std::size_t table_stride_;
   // Dense row storage: records_ holds record_count rows back to back in
   // insertion order (64-byte aligned, row_stride_ apart); slot_index_[row]
   // is the domain index of that row. Arenas ≥ 2 MiB are hugepage-advised
@@ -146,7 +153,7 @@ class BlobDatabase {
   std::unordered_map<std::uint64_t, std::size_t> index_of_;  // index -> row
 };
 
-// XorBytes / XorRowMulti (the paper's "AVX ... accelerate the scan") live in
+// XorBytes / XorSliceMulti (the paper's "AVX ... accelerate the scan") live in
 // pir/xor_kernel.h, re-exported here for the benches and tests that predate
 // the runtime-dispatched tiers.
 

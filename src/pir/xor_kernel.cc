@@ -1,8 +1,10 @@
 #include "pir/xor_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
+#include "util/alloc.h"
 #include "util/bytes.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -26,26 +28,38 @@ void XorBytesScalar(std::uint8_t* dst, const std::uint8_t* src,
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void XorRowMultiScalar(const std::uint8_t* row, std::uint8_t* const* dsts,
-                       std::size_t count, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t r = lw::LoadLE64(row + i);
-    for (std::size_t k = 0; k < count; ++k) {
-      lw::StoreLE64(dsts[k] + i, lw::LoadLE64(dsts[k] + i) ^ r);
-    }
+// Issues one row's share of XorSliceMulti's prefetches. They go to L2
+// (locality 2), not L1: the sweep works in an L1-resident slice of its
+// table entries, and the lines of the next block would evict it.
+inline void PrefetchRowStep(L2Prefetch& prefetch) {
+  const std::size_t lines = std::min(prefetch.per_row, prefetch.lines);
+  for (std::size_t i = 0; i < lines; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(prefetch.next + i * kCacheLineSize, /*rw=*/0,
+                       /*locality=*/2);
+#endif
   }
-  for (; i < n; ++i) {
-    const std::uint8_t r = row[i];
-    for (std::size_t k = 0; k < count; ++k) dsts[k][i] ^= r;
+  prefetch.next += lines * kCacheLineSize;
+  prefetch.lines -= lines;
+}
+
+void XorSliceMultiScalar(const XorRows& rows, std::size_t begin,
+                         std::size_t len, L2Prefetch& prefetch) {
+  std::uint8_t* const dst = rows.dst + begin;
+  for (std::size_t r = 0; r < rows.count; ++r) {
+    PrefetchRowStep(prefetch);
+    const std::uint8_t* row = rows.src + r * rows.row_stride + begin;
+    for (std::size_t j = rows.dst_begin[r]; j < rows.dst_begin[r + 1]; ++j) {
+      XorBytesScalar(dst + rows.offsets[j], row, len);
+    }
   }
 }
 
 #if defined(LW_XOR_X86)
 
-// Row lanes XorRowMulti's vector tiers load per block before touching any
-// destination: the block's row loads issue back to back, and each
-// destination pointer is read once per block, not once per lane. On a
+// Row lanes XorSliceMulti's vector tiers load per block before touching
+// any destination: the block's row loads issue back to back, and each
+// destination offset is read once per block, not once per lane. On a
 // 4-vCPU Xeon this took bench_batching's 16-query scan (two threads,
 // 256 MiB shard) from ~32 to ~27 ms on the AVX-512 tier; pinned to AVX2,
 // a cache-cold 16-query scan ran ~6 % faster.
@@ -87,39 +101,45 @@ __attribute__((target("avx2"))) void XorBytesAvx2(std::uint8_t* dst,
   XorBytesScalar(dst + i, src + i, n - i);
 }
 
-__attribute__((target("avx2"))) void XorRowMultiAvx2(
-    const std::uint8_t* row, std::uint8_t* const* dsts, std::size_t count,
-    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 * kRowBlockLanes <= n; i += 32 * kRowBlockLanes) {
-    // One load of each row lane feeds every destination accumulator.
-    __m256i r[kRowBlockLanes];
-    for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
-      r[j] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(row + i + 32 * j));
-    }
-    for (std::size_t k = 0; k < count; ++k) {
+__attribute__((target("avx2"))) void XorSliceMultiAvx2(
+    const XorRows& rows, std::size_t begin, std::size_t len,
+    L2Prefetch& prefetch) {
+  std::uint8_t* const dst = rows.dst + begin;
+  for (std::size_t r = 0; r < rows.count; ++r) {
+    PrefetchRowStep(prefetch);
+    const std::uint8_t* row = rows.src + r * rows.row_stride + begin;
+    const std::size_t* const first = rows.offsets + rows.dst_begin[r];
+    const std::size_t* const last = rows.offsets + rows.dst_begin[r + 1];
+    std::size_t i = 0;
+    for (; i + 32 * kRowBlockLanes <= len; i += 32 * kRowBlockLanes) {
+      // One load of each row lane feeds every destination.
+      __m256i v[kRowBlockLanes];
       for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
-        __m256i* lane = reinterpret_cast<__m256i*>(dsts[k] + i + 32 * j);
-        _mm256_storeu_si256(
-            lane, _mm256_xor_si256(_mm256_loadu_si256(lane), r[j]));
+        v[j] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(row + i + 32 * j));
+      }
+      for (const std::size_t* o = first; o != last; ++o) {
+        std::uint8_t* d = dst + *o + i;
+        for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
+          __m256i* lane = reinterpret_cast<__m256i*>(d + 32 * j);
+          _mm256_storeu_si256(
+              lane, _mm256_xor_si256(_mm256_loadu_si256(lane), v[j]));
+        }
       }
     }
-  }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    for (std::size_t k = 0; k < count; ++k) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dsts[k] + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dsts[k] + i),
-                          _mm256_xor_si256(a, r));
+    for (; i + 32 <= len; i += 32) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
+      for (const std::size_t* o = first; o != last; ++o) {
+        __m256i* lane = reinterpret_cast<__m256i*>(dst + *o + i);
+        _mm256_storeu_si256(lane,
+                            _mm256_xor_si256(_mm256_loadu_si256(lane), v));
+      }
     }
-  }
-  if (i < n) {
-    const std::uint8_t* row_tail = row + i;
-    for (std::size_t k = 0; k < count; ++k) {
-      XorBytesScalar(dsts[k] + i, row_tail, n - i);
+    if (i < len) {
+      for (const std::size_t* o = first; o != last; ++o) {
+        XorBytesScalar(dst + *o + i, row + i, len - i);
+      }
     }
   }
 }
@@ -140,34 +160,42 @@ __attribute__((target("avx512f"))) void XorBytesAvx512(std::uint8_t* dst,
   XorBytesScalar(dst + i, src + i, n - i);
 }
 
-__attribute__((target("avx512f"))) void XorRowMultiAvx512(
-    const std::uint8_t* row, std::uint8_t* const* dsts, std::size_t count,
-    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 * kRowBlockLanes <= n; i += 64 * kRowBlockLanes) {
-    __m512i r[kRowBlockLanes];
-    for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
-      r[j] = _mm512_loadu_si512(row + i + 64 * j);
-    }
-    for (std::size_t k = 0; k < count; ++k) {
+__attribute__((target("avx512f"))) void XorSliceMultiAvx512(
+    const XorRows& rows, std::size_t begin, std::size_t len,
+    L2Prefetch& prefetch) {
+  std::uint8_t* const dst = rows.dst + begin;
+  for (std::size_t r = 0; r < rows.count; ++r) {
+    PrefetchRowStep(prefetch);
+    const std::uint8_t* row = rows.src + r * rows.row_stride + begin;
+    const std::size_t* const first = rows.offsets + rows.dst_begin[r];
+    const std::size_t* const last = rows.offsets + rows.dst_begin[r + 1];
+    std::size_t i = 0;
+    for (; i + 64 * kRowBlockLanes <= len; i += 64 * kRowBlockLanes) {
+      __m512i v[kRowBlockLanes];
       for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
-        std::uint8_t* lane = dsts[k] + i + 64 * j;
-        _mm512_storeu_si512(
-            lane, _mm512_xor_si512(_mm512_loadu_si512(lane), r[j]));
+        v[j] = _mm512_loadu_si512(row + i + 64 * j);
+      }
+      for (const std::size_t* o = first; o != last; ++o) {
+        std::uint8_t* d = dst + *o + i;
+        for (std::size_t j = 0; j < kRowBlockLanes; ++j) {
+          std::uint8_t* lane = d + 64 * j;
+          _mm512_storeu_si512(
+              lane, _mm512_xor_si512(_mm512_loadu_si512(lane), v[j]));
+        }
       }
     }
-  }
-  for (; i + 64 <= n; i += 64) {
-    const __m512i r = _mm512_loadu_si512(row + i);
-    for (std::size_t k = 0; k < count; ++k) {
-      const __m512i a = _mm512_loadu_si512(dsts[k] + i);
-      _mm512_storeu_si512(dsts[k] + i, _mm512_xor_si512(a, r));
+    for (; i + 64 <= len; i += 64) {
+      const __m512i v = _mm512_loadu_si512(row + i);
+      for (const std::size_t* o = first; o != last; ++o) {
+        std::uint8_t* lane = dst + *o + i;
+        _mm512_storeu_si512(lane,
+                            _mm512_xor_si512(_mm512_loadu_si512(lane), v));
+      }
     }
-  }
-  if (i < n) {
-    const std::uint8_t* row_tail = row + i;
-    for (std::size_t k = 0; k < count; ++k) {
-      XorBytesScalar(dsts[k] + i, row_tail, n - i);
+    if (i < len) {
+      for (const std::size_t* o = first; o != last; ++o) {
+        XorBytesScalar(dst + *o + i, row + i, len - i);
+      }
     }
   }
 }
@@ -267,20 +295,19 @@ void XorBytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   }
 }
 
-void XorRowMulti(const std::uint8_t* row, std::uint8_t* const* dsts,
-                 std::size_t count, std::size_t n) {
-  if (count == 0) return;
+void XorSliceMulti(const XorRows& rows, std::size_t begin, std::size_t len,
+                   L2Prefetch& prefetch) {
   switch (ActiveXorTier()) {
 #if defined(LW_XOR_X86)
     case XorTier::kAvx512:
-      XorRowMultiAvx512(row, dsts, count, n);
+      XorSliceMultiAvx512(rows, begin, len, prefetch);
       return;
     case XorTier::kAvx2:
-      XorRowMultiAvx2(row, dsts, count, n);
+      XorSliceMultiAvx2(rows, begin, len, prefetch);
       return;
 #endif
     default:
-      XorRowMultiScalar(row, dsts, count, n);
+      XorSliceMultiScalar(rows, begin, len, prefetch);
       return;
   }
 }

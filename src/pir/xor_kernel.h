@@ -17,10 +17,12 @@
 //
 // Two kernels are dispatched:
 //   XorBytes(dst, src, n)            dst ^= src, the single-query scan op
-//   XorRowMulti(row, dsts, k, n)     dsts[i] ^= row for k destinations —
-//                                    the batch scan feeds one row load to
-//                                    its table entry in every group of
-//                                    queries that selects it.
+//   XorSliceMulti(rows, begin, len)  bytes [begin, begin + len) of each
+//                                    row of a block XORed into each of
+//                                    that row's destinations — the batch
+//                                    scan's table update (one call per
+//                                    block and column slice) and its fold
+//                                    of the tables into the answers.
 #pragma once
 
 #include <cstddef>
@@ -56,10 +58,33 @@ bool SetXorTierByName(const char* name);
 // arbitrarily aligned; aligned inputs take the fast path within a tier.
 void XorBytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
 
-// dsts[i] ^= row (i < count) over n bytes each: one pass over `row` feeds
-// every destination, so a batched scan pays the row's memory traffic once
-// no matter how many table entries it lands in.
-void XorRowMulti(const std::uint8_t* row, std::uint8_t* const* dsts,
-                 std::size_t count, std::size_t n);
+// A block of source rows for XorSliceMulti. Row i starts at
+// src + i * row_stride and is XORed into dst + offsets[j] for every j in
+// [dst_begin[i], dst_begin[i + 1]); dst_begin has count + 1 entries.
+struct XorRows {
+  const std::uint8_t* src;
+  std::size_t row_stride;
+  std::size_t count;
+  const std::size_t* dst_begin;
+  const std::size_t* offsets;
+  std::uint8_t* dst;
+};
+
+// Cache lines XorSliceMulti pulls into L2 as it goes: before each row it
+// prefetches the next min(per_row, lines) lines from `next` and advances
+// past them, so consecutive calls continue one stream.
+struct L2Prefetch {
+  const std::uint8_t* next = nullptr;
+  std::size_t lines = 0;
+  std::size_t per_row = 0;
+};
+
+// For every row i of `rows` and each of its destinations d:
+// d[begin, begin + len) ^= row i[begin, begin + len). The vector tiers
+// load a row's bytes once for all its destinations, so a batched scan pays
+// the row's memory traffic once no matter how many table entries it lands
+// in. No destination may overlap a row.
+void XorSliceMulti(const XorRows& rows, std::size_t begin, std::size_t len,
+                   L2Prefetch& prefetch);
 
 }  // namespace lw::pir

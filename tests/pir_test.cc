@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "obs/metrics.h"
@@ -291,30 +292,60 @@ TEST(XorKernel, AllSupportedTiersProduceIdenticalBytes) {
   }
 }
 
-TEST(XorKernel, XorRowMultiMatchesRepeatedXorBytes) {
+TEST(XorKernel, XorSliceMultiMatchesRepeatedXorBytes) {
+  // One kernel call XORs a slice of a block of rows into each row's own
+  // destinations. Lengths hit the four-lane blocks, single lanes and the
+  // byte tail of every tier; row r has r distinct destinations (0 to 4, the
+  // most a 16-query batch gives a row); rows lie further apart than a
+  // slice; and the prefetch stream either outlasts the block or ends
+  // inside it.
   ScopedXorTier restore;
   Rng rng(7);
+  constexpr std::size_t kRows = 5;
+  constexpr std::size_t kDsts = 6;
+  constexpr std::size_t kPerRow = 2;
+  AlignedBytes prefetched(64 * kCacheLineSize);
   for (const XorTier tier :
        {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
     if (!SetXorTier(tier)) continue;
-    for (const std::size_t n : {1u, 64u, 100u, 512u, 4200u}) {
-      Bytes row(n);
-      rng.Fill(row);
-      constexpr std::size_t kAccs = 5;
-      std::vector<Bytes> dsts(kAccs, Bytes(n));
-      std::vector<Bytes> expected(kAccs, Bytes(n));
-      for (std::size_t k = 0; k < kAccs; ++k) {
-        rng.Fill(dsts[k]);
-        for (std::size_t i = 0; i < n; ++i) {
-          expected[k][i] = dsts[k][i] ^ row[i];
+    for (const std::size_t len : {1u, 63u, 64u, 255u, 256u, 300u, 4096u}) {
+      for (const std::size_t begin : {0u, 64u, 100u}) {
+        for (const std::size_t lines : {kPerRow * kRows + 3, kPerRow * 2 + 1}) {
+          const std::size_t row_stride = begin + len + 64;
+          const std::size_t dst_stride = begin + len + 8;
+          Bytes rows(kRows * row_stride);
+          Bytes dst(kDsts * dst_stride);
+          rng.Fill(rows);
+          rng.Fill(dst);
+          std::vector<std::size_t> dst_begin{0};
+          std::vector<std::size_t> offsets;
+          Bytes expected = dst;
+          for (std::size_t r = 0; r < kRows; ++r) {
+            std::vector<std::size_t> picks(kDsts);
+            std::iota(picks.begin(), picks.end(), std::size_t{0});
+            for (std::size_t j = 0; j < r; ++j) {
+              std::swap(picks[j], picks[j + rng.UniformInt(kDsts - j)]);
+              offsets.push_back(picks[j] * dst_stride);
+              for (std::size_t i = 0; i < len; ++i) {
+                expected[offsets.back() + begin + i] ^=
+                    rows[r * row_stride + begin + i];
+              }
+            }
+            dst_begin.push_back(offsets.size());
+          }
+          L2Prefetch prefetch{prefetched.data(), lines, kPerRow};
+          XorSliceMulti({rows.data(), row_stride, kRows, dst_begin.data(),
+                         offsets.data(), dst.data()},
+                        begin, len, prefetch);
+          EXPECT_EQ(dst, expected) << XorTierName(tier) << " len=" << len
+                                   << " begin=" << begin << " lines=" << lines;
+          // One row step prefetches at most kPerRow lines, and the stream
+          // never runs past its end.
+          const std::size_t issued = std::min(lines, kPerRow * kRows);
+          EXPECT_EQ(prefetch.lines, lines - issued);
+          EXPECT_EQ(prefetch.next,
+                    prefetched.data() + issued * kCacheLineSize);
         }
-      }
-      std::vector<std::uint8_t*> ptrs;
-      for (auto& d : dsts) ptrs.push_back(d.data());
-      XorRowMulti(row.data(), ptrs.data(), ptrs.size(), n);
-      for (std::size_t k = 0; k < kAccs; ++k) {
-        EXPECT_EQ(dsts[k], expected[k])
-            << XorTierName(tier) << " n=" << n << " acc=" << k;
       }
     }
   }
@@ -457,100 +488,117 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
   const auto [threads, d] = GetParam();
   ThreadPool pool(threads);
   const std::uint64_t domain = std::uint64_t{1} << d;
-  // Not a multiple of 64, and long enough that every XOR tier runs its
-  // row blocks, single lanes and byte tail.
-  const std::size_t record_size = 300;
-  BlobDatabase db(d, record_size);
   Rng rng(static_cast<std::uint64_t>(threads * 131 + d));
-  // Over 1000 rows at d ≥ 12, so a pool splits the scan into several row
-  // shards (at least 256 rows each) and the shard reduction runs.
-  const std::uint64_t records = std::min<std::uint64_t>(domain, 1200);
-  std::set<std::uint64_t> stored;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    Bytes rec(record_size);
-    rng.Fill(rec);
-    const std::uint64_t index = rng.UniformInt(domain);
-    ASSERT_TRUE(db.Upsert(index, rec).ok());
-    stored.insert(index);
-  }
-  // Naive reference, independent of the scan kernel: the XOR of Get over
-  // every stored index whose bit is set.
-  const auto reference = [&](const dpf::BitVector& bits) {
-    Bytes out(record_size, 0);
-    for (const std::uint64_t index : stored) {
-      if (dpf::GetBit(bits, index) == 0) continue;
-      const Bytes rec = db.Get(index).value();
-      for (std::size_t i = 0; i < record_size; ++i) out[i] ^= rec[i];
+  // 300-byte records are not a multiple of 64 and long enough that every
+  // XOR tier runs its row blocks, single lanes and byte tail, in 256-byte
+  // slices. 4096-byte records run every slice width the grouped sweep
+  // derives: the whole record (B ≤ 3), 2 KiB (B = 4), 1 KiB (B = 5 and
+  // 8), 512 B (B = 16) and 256 B (B ≥ 17). At d ≥ 12 the inputs hold
+  // 960–1200 and 530–600 rows, so a pool splits the scan into several row
+  // shards (at least 256 rows each) and the shard reduction runs. A pool's
+  // chunks (17 to 38 rows) then end inside a 32-row block, and at two
+  // shards the 300-byte input's chunks mostly span two blocks.
+  const std::pair<std::size_t, std::uint64_t> inputs[] = {{300, 1200},
+                                                           {4096, 600}};
+  for (const auto& [record_size, max_records] : inputs) {
+    BlobDatabase db(d, record_size);
+    const std::uint64_t records = std::min<std::uint64_t>(domain, max_records);
+    std::set<std::uint64_t> stored;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      Bytes rec(record_size);
+      rng.Fill(rec);
+      const std::uint64_t index = rng.UniformInt(domain);
+      ASSERT_TRUE(db.Upsert(index, rec).ok());
+      stored.insert(index);
     }
-    return out;
-  };
+    // Naive reference, independent of the scan kernel: the XOR of Get over
+    // every stored index whose bit is set. It XORs 64-bit words, so that
+    // 4096-byte records stay cheap in sanitizer builds.
+    const auto reference = [&](const dpf::BitVector& bits) {
+      Bytes out(record_size, 0);
+      for (const std::uint64_t index : stored) {
+        if (dpf::GetBit(bits, index) == 0) continue;
+        const Bytes rec = db.Get(index).value();
+        std::size_t i = 0;
+        for (; i + 8 <= record_size; i += 8) {
+          StoreLE64(out.data() + i,
+                    LoadLE64(out.data() + i) ^ LoadLE64(rec.data() + i));
+        }
+        for (; i < record_size; ++i) out[i] ^= rec[i];
+      }
+      return out;
+    };
 
-  // Batch sizes around the scan's groups of four: one partial group, one
-  // full group, full groups followed by a partial one.
-  const std::size_t words = (domain + 63) / 64;
-  ScopedXorTier restore;
-  const auto sweep = [&](const char* layout) {
-    for (const std::size_t batch : {1u, 3u, 4u, 5u, 16u, 17u, 33u}) {
-      std::vector<dpf::BitVector> queries(batch, dpf::BitVector(words));
-      for (dpf::BitVector& bits : queries) {
-        for (std::uint64_t& w : bits) w = rng.Next();
-      }
-      // The last query selects every row and, from two queries up, the first
-      // selects none, so each batch asks for both edge answers.
-      std::fill(queries.back().begin(), queries.back().end(),
-                ~std::uint64_t{0});
-      if (batch >= 2) {
-        std::fill(queries.front().begin(), queries.front().end(), 0);
-      }
-      std::vector<Bytes> expected;
-      for (const dpf::BitVector& bits : queries) {
-        expected.push_back(reference(bits));
-      }
+    // Batch sizes around the scan's groups of four (one partial group, one
+    // full group, full groups followed by a partial one) and its slice
+    // widths.
+    const std::size_t words = (domain + 63) / 64;
+    ScopedXorTier restore;
+    const auto sweep = [&](const char* layout) {
+      for (const std::size_t batch : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u, 33u}) {
+        std::vector<dpf::BitVector> queries(batch, dpf::BitVector(words));
+        for (dpf::BitVector& bits : queries) {
+          for (std::uint64_t& w : bits) w = rng.Next();
+        }
+        // The last query selects every row and, from two queries up, the first
+        // selects none, so each batch asks for both edge answers.
+        std::fill(queries.back().begin(), queries.back().end(),
+                  ~std::uint64_t{0});
+        if (batch >= 2) {
+          std::fill(queries.front().begin(), queries.front().end(), 0);
+        }
+        std::vector<Bytes> expected;
+        for (const dpf::BitVector& bits : queries) {
+          expected.push_back(reference(bits));
+        }
 
-      for (const XorTier tier :
-           {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
-        if (!SetXorTier(tier)) continue;
-        std::vector<Bytes> serial_batch, parallel_batch;
-        db.AnswerBatch(queries, serial_batch);
-        db.AnswerBatch(queries, parallel_batch, &pool);
-        ASSERT_EQ(serial_batch.size(), batch);
-        ASSERT_EQ(parallel_batch.size(), batch);
-        for (std::size_t q = 0; q < batch; ++q) {
-          EXPECT_EQ(serial_batch[q], expected[q])
-              << "query " << q << " batch=" << batch << " "
-              << XorTierName(tier) << " " << layout;
-          EXPECT_EQ(parallel_batch[q], expected[q])
-              << "query " << q << " batch=" << batch << " " << XorTierName(tier)
-              << " threads=" << threads << " d=" << d << " " << layout;
-          Bytes single(record_size, 0xee);
-          db.Answer(queries[q], single, &pool);
-          EXPECT_EQ(single, expected[q]) << "Answer, query " << q << " "
-                                         << XorTierName(tier) << " " << layout;
+        for (const XorTier tier :
+             {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
+          if (!SetXorTier(tier)) continue;
+          std::vector<Bytes> serial_batch, parallel_batch;
+          db.AnswerBatch(queries, serial_batch);
+          db.AnswerBatch(queries, parallel_batch, &pool);
+          ASSERT_EQ(serial_batch.size(), batch);
+          ASSERT_EQ(parallel_batch.size(), batch);
+          for (std::size_t q = 0; q < batch; ++q) {
+            EXPECT_EQ(serial_batch[q], expected[q])
+                << "query " << q << " batch=" << batch << " record="
+                << record_size << " " << XorTierName(tier) << " " << layout;
+            EXPECT_EQ(parallel_batch[q], expected[q])
+                << "query " << q << " batch=" << batch << " record="
+                << record_size << " " << XorTierName(tier)
+                << " threads=" << threads << " d=" << d << " " << layout;
+            Bytes single(record_size, 0xee);
+            db.Answer(queries[q], single, &pool);
+            EXPECT_EQ(single, expected[q])
+                << "Answer, query " << q << " " << XorTierName(tier) << " "
+                << layout;
+          }
         }
       }
-    }
-  };
-  sweep("as inserted");
+    };
+    sweep("as inserted");
 
-  // Remove about a third of the stored indices and insert fresh ones:
-  // swap-removes move rows and rewrite the row-to-index map, and the
-  // batch's selection planes must follow the new row layout.
-  std::vector<std::uint64_t> removed;
-  for (const std::uint64_t index : stored) {
-    if (rng.UniformInt(3) == 0) removed.push_back(index);
+    // Remove about a third of the stored indices and insert fresh ones:
+    // swap-removes move rows and rewrite the row-to-index map, and the
+    // batch's selection planes must follow the new row layout.
+    std::vector<std::uint64_t> removed;
+    for (const std::uint64_t index : stored) {
+      if (rng.UniformInt(3) == 0) removed.push_back(index);
+    }
+    for (const std::uint64_t index : removed) {
+      ASSERT_TRUE(db.Remove(index).ok());
+      stored.erase(index);
+    }
+    for (std::size_t i = 0; i < removed.size(); ++i) {
+      Bytes rec(record_size);
+      rng.Fill(rec);
+      const std::uint64_t index = rng.UniformInt(domain);
+      ASSERT_TRUE(db.Upsert(index, rec).ok());
+      stored.insert(index);
+    }
+    sweep("after swap-removes");
   }
-  for (const std::uint64_t index : removed) {
-    ASSERT_TRUE(db.Remove(index).ok());
-    stored.erase(index);
-  }
-  for (std::size_t i = 0; i < removed.size(); ++i) {
-    Bytes rec(record_size);
-    rng.Fill(rec);
-    const std::uint64_t index = rng.UniformInt(domain);
-    ASSERT_TRUE(db.Upsert(index, rec).ok());
-    stored.insert(index);
-  }
-  sweep("after swap-removes");
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolsAndDomains, BlobDbParallelTest,
