@@ -7,9 +7,10 @@
 // ephemeral TCP ports, connects closed-loop clients (each issues its next
 // private GET the moment the previous one completes — the standard
 // saturation harness shape), and sweeps the batch close deadline
-// (--max-wait) crossed with pipelined vs serial scheduling, reporting
+// (--max-wait), reporting
 //
-//   req/s sustained, p50/p95/p99 request latency, mean batch occupancy
+//   req/s sustained, p50/p95/p99 request latency, mean batch occupancy,
+//   failed requests (excluded from the percentiles)
 //
 // per scenario into BENCH_throughput.json so CI can track the trajectory
 // (tools/bench/compare_bench.py fails on >15% req/s regressions).
@@ -75,7 +76,6 @@ struct ThroughputParams {
 
 struct Scenario {
   std::string name;
-  bool pipelined = true;
   std::chrono::milliseconds max_wait{2};
   // true: one epoll reactor serves both logical servers. false: blocking
   // thread-per-connection (the A/B baseline).
@@ -107,6 +107,7 @@ struct ScenarioResult {
   double p99_ms = 0;
   double avg_batch = 0;
   std::uint64_t batches = 0;
+  std::uint64_t failed = 0;  // requests that returned an error
 };
 
 double PercentileMs(std::vector<double>& sorted_ms, double q) {
@@ -230,6 +231,7 @@ ScenarioResult FillResult(const Scenario& scenario, LoadResult load) {
   result.p50_ms = PercentileMs(load.sorted_ms, 0.50);
   result.p95_ms = PercentileMs(load.sorted_ms, 0.95);
   result.p99_ms = PercentileMs(load.sorted_ms, 0.99);
+  result.failed = load.errors;
   if (load.errors != 0) {
     std::fprintf(stderr, "bench_throughput: %llu request errors in %s\n",
                  static_cast<unsigned long long>(load.errors),
@@ -250,7 +252,6 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
   zltp::ServerOptions options;
   options.batch_config.max_batch = 16;
   options.batch_config.max_wait = scenario.max_wait;
-  options.batch_config.pipelined = scenario.pipelined;
   options.num_threads = params.threads;
   // Declared before the servers: batch completion callbacks hold a reactor
   // reference, and the server destructor joins those callbacks' threads.
@@ -533,14 +534,14 @@ bool WriteJson(const std::string& path, const ThroughputParams& params,
     std::fprintf(
         f,
         "    {\"name\": \"%s\", \"serve\": \"%s\", \"conns\": %d, "
-        "\"pipelined\": %s, \"max_wait_ms\": %lld, "
-        "\"requests\": %llu, \"req_per_s\": %.3f, \"ns_per_op\": %.1f, "
+        "\"max_wait_ms\": %lld, \"requests\": %llu, \"failed\": %llu, "
+        "\"req_per_s\": %.3f, \"ns_per_op\": %.1f, "
         "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"avg_batch\": %.2f, \"batches\": %llu}%s\n",
-        r.scenario.name.c_str(), ServeName(r.scenario),
-        conns, r.scenario.pipelined ? "true" : "false",
+        r.scenario.name.c_str(), ServeName(r.scenario), conns,
         static_cast<long long>(r.scenario.max_wait.count()),
-        static_cast<unsigned long long>(r.completed), r.req_per_s,
+        static_cast<unsigned long long>(r.completed),
+        static_cast<unsigned long long>(r.failed), r.req_per_s,
         r.ns_per_op, r.p50_ms, r.p95_ms, r.p99_ms, r.avg_batch,
         static_cast<unsigned long long>(r.batches),
         i + 1 < results.size() ? "," : "");
@@ -601,18 +602,16 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ≥2 batch-deadline settings, each in both scheduling modes: the deadline
+  // ≥2 batch-deadline settings under each serving model: the deadline
   // sweep shows the latency/throughput trade the co-rider window buys, the
-  // mode sweep shows what expand/scan overlap is worth at fixed deadline.
-  // Then the serving-model A/B at fixed batch settings, and the
-  // high-connection scenario only the reactor can realistically run.
+  // threaded/reactor pairs are the serving-model A/B at fixed batch
+  // settings. Then the high-connection scenario only the reactor can
+  // realistically run.
   std::vector<Scenario> scenarios = {
-      {"pipelined/wait1ms", true, std::chrono::milliseconds(1)},
-      {"serial/wait1ms", false, std::chrono::milliseconds(1)},
-      {"pipelined/wait4ms", true, std::chrono::milliseconds(4)},
-      {"serial/wait4ms", false, std::chrono::milliseconds(4)},
-      {"reactor/wait1ms", true, std::chrono::milliseconds(1), true},
-      {"reactor/wait4ms", true, std::chrono::milliseconds(4), true},
+      {"threaded/wait1ms", std::chrono::milliseconds(1)},
+      {"threaded/wait4ms", std::chrono::milliseconds(4)},
+      {"reactor/wait1ms", std::chrono::milliseconds(1), true},
+      {"reactor/wait4ms", std::chrono::milliseconds(4), true},
   };
   {
     // Each client holds one connection per logical server. Per-client
@@ -620,7 +619,6 @@ int Main(int argc, char** argv) {
     // minutes of wall clock.
     Scenario high;
     high.name = "reactor/conns" + std::to_string(params.high_conns);
-    high.pipelined = true;
     high.max_wait = std::chrono::milliseconds(4);
     high.reactor = true;
     high.clients_override = std::max(1, params.high_conns / 2);

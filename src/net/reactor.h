@@ -19,7 +19,7 @@
 //                    queue and wakes the loop via an eventfd; the loop owns
 //                    the actual write() calls, including partial-write
 //                    resume under EAGAIN.
-//   compute threads  completion callbacks (batch scan workers, dispatcher
+//   compute threads  completion callbacks (batch workers, dispatcher
 //                    workers) call Send()/CloseAfterFlush() to queue
 //                    replies; they never touch the socket directly.
 //
@@ -31,7 +31,7 @@
 //
 // The blocking thread-per-connection path (tcp.h + ServeConnection loops)
 // stays compilable behind --serve-mode=threaded for A/B runs and
-// equivalence tests, mirroring the batch engine's --serial-batches knob.
+// equivalence tests.
 #pragma once
 
 #include <chrono>

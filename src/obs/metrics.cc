@@ -206,9 +206,6 @@ Metrics& M() {
           "lw_batch_wait_closes_total",
           "batches closed by the max_wait co-rider window elapsing",
           "batches"),
-      Registry::Default().AddCounter(
-          "lw_batch_pipeline_stall_ns_total",
-          "scan-stage idle time waiting on DPF expansion", "ns"),
 
       Registry::Default().AddCounter(
           "lw_scan_rows_scanned_total",

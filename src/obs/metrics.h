@@ -208,9 +208,6 @@ struct Metrics {
   Counter& batch_full_closes;
   Counter& batch_deadline_closes;
   Counter& batch_wait_closes;
-  // Time the pipeline's scan stage sat idle waiting for an expanded batch
-  // (nonzero = expansion is the bottleneck, not the data pass).
-  Counter& batch_pipeline_stall_ns;
 
   // Blob-database scans. ns/record = busy_ns / rows_scanned; average
   // rows per pass (≈ rows per shard) = rows_scanned / passes; row XORs per

@@ -26,10 +26,7 @@ BatchScheduler::BatchScheduler(const PirStore& store, BatchConfig config,
       pool_(pool),
       clock_(config.clock != nullptr ? config.clock : &Clock::Real()) {
   LW_CHECK_MSG(config_.max_batch >= 1, "max_batch must be >= 1");
-  if (config_.pipelined) {
-    scan_worker_ = std::thread([this] { ScanLoop(); });
-  }
-  expand_worker_ = std::thread([this] { ExpandLoop(); });
+  worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 BatchScheduler::~BatchScheduler() { Stop(); }
@@ -94,23 +91,13 @@ Result<Bytes> BatchScheduler::Submit(dpf::DpfKey key,
 void BatchScheduler::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && !expand_worker_.joinable() && !scan_worker_.joinable()) {
-      return;  // already fully stopped
-    }
+    if (stopping_ && !worker_.joinable()) return;  // already fully stopped
     stopping_ = true;
   }
   cv_.notify_all();
-  // The expand worker drains the queue into final batches before exiting,
-  // so every admitted request still gets a real answer.
-  if (expand_worker_.joinable()) expand_worker_.join();
-  // Only then stop the scan stage: it must first consume everything the
-  // expand stage staged.
-  {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    scan_stop_ = true;
-  }
-  staged_cv_.notify_all();
-  if (scan_worker_.joinable()) scan_worker_.join();
+  // The worker drains the queue into final batches before exiting, so every
+  // admitted request still gets a real answer.
+  if (worker_.joinable()) worker_.join();
   // Defensively fail anything still queued (unreachable in the normal
   // interleaving — Submit refuses once stopping_ is set).
   std::deque<Pending> leftovers;
@@ -129,12 +116,12 @@ BatchScheduler::Stats BatchScheduler::stats() const {
   return stats_;
 }
 
-void BatchScheduler::ExpandLoop() {
+void BatchScheduler::WorkerLoop() {
   for (;;) {
     std::vector<Pending> batch;
     if (!FormBatch(batch)) return;
     if (batch.empty()) continue;  // every taken rider had expired
-    ExpandAndDispatch(std::move(batch));
+    RunBatch(std::move(batch));
   }
 }
 
@@ -219,123 +206,37 @@ bool BatchScheduler::FormBatch(std::vector<Pending>& batch) {
   return true;
 }
 
-void BatchScheduler::ExpandAndDispatch(std::vector<Pending> batch) {
+void BatchScheduler::RunBatch(std::vector<Pending> batch) {
   obs::M().batch_requests.Inc(batch.size());
   obs::M().batch_batches.Inc();
   obs::M().batch_size.Observe(batch.size());
 
-  StagedBatch staged;
-  staged.formed_at = obs::TraceNow();
   std::vector<dpf::DpfKey> keys;
   keys.reserve(batch.size());
   for (Pending& p : batch) keys.push_back(std::move(p.key));
-  staged.riders = std::move(batch);
-  {
-    // Stage 1. The thread-local sink collects expand_ns from inside
-    // PirStore::ExpandBatch; scan_ns is credited later by the scan stage.
-    obs::ScopedStageSink sink(&staged.stages);
-    Result<PirStore::ExpandedBatch> expanded =
-        store_.ExpandBatch(keys, pool_);
-    if (expanded.ok()) {
-      staged.expanded = std::move(*expanded);
-    } else {
-      staged.expand_status = expanded.status();
-    }
-  }
-
-  if (!config_.pipelined) {
-    // Serial mode: both stages on this thread, one batch at a time.
-    ScanAndFulfill(std::move(staged));
-    return;
-  }
-  {
-    // Bounded handoff: at most kPipelineDepth expanded batches exist at
-    // once (one scanning + one buffered), so expansion can run at most one
-    // batch ahead — double buffering, not an unbounded queue of expensive
-    // expanded selection vectors.
-    std::unique_lock<std::mutex> lock(staged_mu_);
-    staged_cv_.wait(lock, [this] {
-      return staged_.size() < kPipelineDepth || scan_stop_;
-    });
-    if (scan_stop_) {
-      lock.unlock();
-      for (Pending& p : staged.riders) {
-        p.done(UnavailableError("batch scheduler stopped"),
-               obs::StageTimings{});
-      }
-      return;
-    }
-    staged_.push_back(std::move(staged));
-  }
-  staged_cv_.notify_all();
-}
-
-void BatchScheduler::ScanLoop() {
-  for (;;) {
-    StagedBatch staged;
-    {
-      std::unique_lock<std::mutex> lock(staged_mu_);
-      if (staged_.empty() && !scan_stop_) {
-        const auto idle_since = obs::TraceNow();
-        staged_cv_.wait(lock,
-                        [this] { return !staged_.empty() || scan_stop_; });
-        if (!staged_.empty()) {
-          // Stall accounting: the scan could have started at batch
-          // formation had expansion been instant, so idle time before
-          // that instant (an empty pipeline, not a slow expand) does not
-          // count.
-          const auto now = obs::TraceNow();
-          const auto start = std::max(idle_since, staged_.front().formed_at);
-          if (now > start) {
-            obs::M().batch_pipeline_stall_ns.Inc(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                                     start)
-                    .count()));
-          }
-        }
-      }
-      if (staged_.empty()) return;  // scan_stop_ and fully drained
-      staged = std::move(staged_.front());
-      staged_.pop_front();
-    }
-    staged_cv_.notify_all();  // a staging slot freed for the expand worker
-    ScanAndFulfill(std::move(staged));
-  }
-}
-
-void BatchScheduler::ScanAndFulfill(StagedBatch staged) {
-  if (!staged.expand_status.ok()) {
-    for (Pending& p : staged.riders) {
-      p.done(staged.expand_status, staged.stages);
-    }
-    return;
-  }
-  // Stage 2, with its own sink so scan_ns is attributable separately from
-  // the (possibly concurrent) expansion of the next batch.
-  obs::StageTimings scan_stages;
+  // The thread-local sink collects expand_ns and scan_ns from inside
+  // PirStore::AnswerBatch. Each callback receives these batch-level timings
+  // (each co-rider is credited the full fused pass).
+  obs::StageTimings stages;
   Result<std::vector<Bytes>> answers = [&] {
-    obs::ScopedStageSink sink(&scan_stages);
-    return store_.ScanBatch(staged.expanded, pool_);
+    obs::ScopedStageSink sink(&stages);
+    return store_.AnswerBatch(keys, pool_);
   }();
-  staged.stages.scan_ns = scan_stages.scan_ns;
+  if (!answers.ok()) {
+    for (Pending& p : batch) p.done(answers.status(), stages);
+    return;
+  }
   {
     // Feed the admission controller's scan-time estimate: EWMA with
     // alpha = 1/4, so the close rule tracks recent scans without one
     // outlier whipsawing it.
     std::lock_guard<std::mutex> lock(mu_);
-    scan_estimate_ns_ =
-        scan_estimate_ns_ == 0
-            ? staged.stages.scan_ns
-            : (3 * scan_estimate_ns_ + staged.stages.scan_ns) / 4;
+    scan_estimate_ns_ = scan_estimate_ns_ == 0
+                            ? stages.scan_ns
+                            : (3 * scan_estimate_ns_ + stages.scan_ns) / 4;
   }
-  // Each callback receives the batch-level timings (each co-rider is
-  // credited the full fused pass).
-  if (!answers.ok()) {
-    for (Pending& p : staged.riders) p.done(answers.status(), staged.stages);
-    return;
-  }
-  for (std::size_t i = 0; i < staged.riders.size(); ++i) {
-    staged.riders[i].done(std::move((*answers)[i]), staged.stages);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].done(std::move((*answers)[i]), stages);
   }
 }
 

@@ -117,10 +117,6 @@ ZltpPirServer::ZltpPirServer(const PirStore& store, std::uint8_t role,
   LW_CHECK_MSG(role <= 1, "PIR server role must be 0 or 1");
 }
 
-ZltpPirServer::ZltpPirServer(const PirStore& store, std::uint8_t role,
-                             BatchConfig batch_config)
-    : ZltpPirServer(store, role, ServerOptions{batch_config, 0}) {}
-
 ZltpPirServer::~ZltpPirServer() {
   batcher_.Stop();
   // Snapshot-then-join: handlers may still be enqueueing via
@@ -300,7 +296,7 @@ Status ZltpPirServer::ServeOnReactor(net::Reactor& reactor,
     }
     const std::uint64_t decode_ns = obs::ElapsedNs(req_start);
     // The admission queue is the scheduler: no per-request thread exists.
-    // The scan worker runs this callback and queues the reply; reply_ns
+    // The batch worker runs this callback and queues the reply; reply_ns
     // covers the enqueue (the loop owns the socket write).
     batcher_.SubmitAsync(
         std::move(*key),

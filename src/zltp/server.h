@@ -39,9 +39,6 @@ class ZltpPirServer {
   // `role` is 0 or 1 — which of the two non-colluding servers this is.
   ZltpPirServer(const PirStore& store, std::uint8_t role,
                 ServerOptions options = {});
-  // Back-compat convenience: batching knobs only, default threading.
-  ZltpPirServer(const PirStore& store, std::uint8_t role,
-                BatchConfig batch_config);
   ~ZltpPirServer();
 
   ZltpPirServer(const ZltpPirServer&) = delete;
@@ -57,7 +54,7 @@ class ZltpPirServer {
 
   // Event-driven serving: registers `listener` on `reactor` and answers
   // every connection it accepts without a thread per connection — frames
-  // decode on the loop, ride the batcher via SubmitAsync, and the scan
+  // decode on the loop, ride the batcher via SubmitAsync, and the batch
   // worker's callback queues the reply (docs/ARCHITECTURE.md). Teardown
   // order: reactor.Stop() first (no more callbacks into this server), then
   // destroy the server, then the reactor object. The same order covers

@@ -148,8 +148,7 @@ Result<PirStore::ExpandedBatch> PirStore::ExpandBatch(
     }
   }
   // No store lock: expansion reads only the keys and the immutable domain
-  // geometry, which is what lets the pipelined scheduler expand batch N+1
-  // while batch N is still scanning under the shared lock.
+  // geometry, so a publish waits only for the scan, not for expansion.
   const auto t0 = obs::TraceNow();
   ExpandedBatch out;
   out.query_count = keys.size();

@@ -63,14 +63,13 @@ class PirStore {
   Result<Bytes> AnswerQuery(const dpf::DpfKey& key,
                             ThreadPool* pool = nullptr) const;
 
-  // Answers a batch with one fused pass over each shard's data.
-  // Equivalent to ExpandBatch followed by ScanBatch.
+  // Answers a batch with one fused pass over each shard's data: ExpandBatch
+  // followed by ScanBatch. zltp::BatchScheduler answers every batch here.
   Result<std::vector<Bytes>> AnswerBatch(const std::vector<dpf::DpfKey>& keys,
                                          ThreadPool* pool = nullptr) const;
 
-  // A batch's DPF expansion, decoupled from its data scan so a pipelined
-  // scheduler can overlap stage 1 of batch N+1 with stage 2 of batch N
-  // (zltp::BatchScheduler's two-stage pipeline).
+  // A batch's DPF expansion, kept apart from its data scan so each stage
+  // can be timed and replayed on its own (perfbench's layer table).
   struct ExpandedBatch {
     // shard_bits[s][q]: query q's selection bits over shard s's sub-domain.
     std::vector<std::vector<dpf::BitVector>> shard_bits;
@@ -79,8 +78,7 @@ class PirStore {
 
   // Stage 1: evaluates every key's DPF (full-domain, or per-shard sub-trees
   // when sharded), one key per pool task. Pure compute over immutable
-  // config — takes no store lock, so it runs concurrently with a ScanBatch
-  // of another batch.
+  // config — takes no store lock, so publishes do not wait on it.
   Result<ExpandedBatch> ExpandBatch(const std::vector<dpf::DpfKey>& keys,
                                     ThreadPool* pool = nullptr) const;
 

@@ -98,8 +98,8 @@ TEST(Concurrency, ManyClientsOneBatchingServer) {
   zltp::BatchConfig batch_config;
   batch_config.max_batch = 8;
   batch_config.max_wait = std::chrono::milliseconds(5);
-  zltp::ZltpPirServer server0(store, 0, batch_config);
-  zltp::ZltpPirServer server1(store, 1, batch_config);
+  zltp::ZltpPirServer server0(store, 0, zltp::ServerOptions{batch_config});
+  zltp::ZltpPirServer server1(store, 1, zltp::ServerOptions{batch_config});
 
   constexpr int kClients = 6;
   std::atomic<int> failures{0};
@@ -184,13 +184,12 @@ TEST(Concurrency, PipelinedBatchesFromParallelClients) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Concurrency, PipelinedExpandScanOverlapIsRaceFree) {
-  // Drives the two-stage batch pipeline hard enough that expansion of batch
-  // N+1 genuinely overlaps the scan of batch N (tiny co-rider window, more
-  // clients than max_batch), with a sharded store and a shared ThreadPool so
-  // both stages fan work out to the same workers, plus a stats() poller on
-  // the side. Exists to fail under TSan if the staging handoff, the EWMA
-  // update, or the stats snapshot ever race.
+TEST(Concurrency, BatchSchedulerUnderLoadIsRaceFree) {
+  // Keeps the batch worker busy (tiny co-rider window, more clients than
+  // max_batch) over a sharded store whose expansion and scan both fan out
+  // to a shared ThreadPool, while submitters queue the next batch and a
+  // stats() poller reads on the side. Exists to fail under TSan if the
+  // scan-time EWMA update or the stats snapshot ever races with admission.
   zltp::PirStoreConfig config = StoreConfig();
   config.shard_top_bits = 2;
   zltp::PirStore store(config);
@@ -201,7 +200,6 @@ TEST(Concurrency, PipelinedExpandScanOverlapIsRaceFree) {
   zltp::BatchConfig batch_config;
   batch_config.max_batch = 4;
   batch_config.max_wait = std::chrono::milliseconds(1);
-  batch_config.pipelined = true;
   zltp::BatchScheduler batcher(store, batch_config, &pool);
 
   std::atomic<bool> stop_polling{false};

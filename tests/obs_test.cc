@@ -387,6 +387,8 @@ TEST(EndToEnd, PirRoundTripPopulatesServingMetrics) {
   EXPECT_GT(last.total_ns, 0u);
   EXPECT_GT(last.stages.expand_ns, 0u)
       << "batch-attributed DPF expansion time must reach the trace";
+  EXPECT_GT(last.stages.scan_ns, 0u)
+      << "batch-attributed scan time must reach the trace";
   EXPECT_GT(last.start_unix_ms, 0u);
 
   ASSERT_TRUE(store.Unpublish("obs.example/page").ok());

@@ -573,7 +573,7 @@ TEST(BatchScheduler, StopAnswersEveryInFlightRequest) {
   EXPECT_EQ(batcher.stats().requests, static_cast<std::uint64_t>(kClients));
 }
 
-TEST(BatchScheduler, PipelinedAndSerialProduceIdenticalAnswers) {
+TEST(BatchScheduler, ShardedBatchesMatchIndividualAnswers) {
   PirStore store(SmallStoreConfig(12, 128, /*shard_top_bits=*/2));
   for (int i = 0; i < 32; ++i) {
     (void)store.Publish("k" + std::to_string(i), ToBytes("v"));
@@ -588,29 +588,26 @@ TEST(BatchScheduler, PipelinedAndSerialProduceIdenticalAnswers) {
     expected.push_back(store.AnswerQuery(queries.back().key0).value());
   }
 
-  for (const bool pipelined : {true, false}) {
-    BatchConfig config;
-    config.max_batch = 4;
-    config.max_wait = std::chrono::milliseconds(5);
-    config.pipelined = pipelined;
-    BatchScheduler batcher(store, config);
-    std::vector<Bytes> answers(kQueries);
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kQueries; ++i) {
-      threads.emplace_back([&, i] {
-        auto answer = batcher.Submit(queries[i].key0);
-        if (answer.ok()) {
-          answers[i] = std::move(*answer);
-        } else {
-          ++failures;
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(failures.load(), 0) << "pipelined=" << pipelined;
-    EXPECT_EQ(answers, expected) << "pipelined=" << pipelined;
+  BatchConfig config;
+  config.max_batch = 4;
+  config.max_wait = std::chrono::milliseconds(5);
+  BatchScheduler batcher(store, config);
+  std::vector<Bytes> answers(kQueries);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kQueries; ++i) {
+    threads.emplace_back([&, i] {
+      auto answer = batcher.Submit(queries[i].key0);
+      if (answer.ok()) {
+        answers[i] = std::move(*answer);
+      } else {
+        ++failures;
+      }
+    });
   }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(answers, expected);
 }
 
 // --------------------------------------------- end-to-end PIR sessions
@@ -917,8 +914,8 @@ TEST(PirBatchCoBatching, PipelinedRequestsShareServerScans) {
   BatchConfig batch_config;
   batch_config.max_batch = 16;
   batch_config.max_wait = std::chrono::milliseconds(50);
-  ZltpPirServer server0(store, 0, batch_config);
-  ZltpPirServer server1(store, 1, batch_config);
+  ZltpPirServer server0(store, 0, ServerOptions{batch_config});
+  ZltpPirServer server1(store, 1, ServerOptions{batch_config});
   net::TransportPair p0 = net::CreateInMemoryPair();
   net::TransportPair p1 = net::CreateInMemoryPair();
   server0.ServeConnectionDetached(std::move(p0.b));

@@ -142,6 +142,34 @@ double MaxTOverCrops(const Timings& t) {
   return max_t;
 }
 
+// Times op() over `samples` inputs drawn before the timed loop, as dudect's
+// prepare_inputs does: first every sample's class and its dst.size()-byte
+// input, written by fill(cls, input). Drawing a class's input inside the
+// loop would run class-specific code (a memset for one class, an RNG fill
+// for the other) right before t0, and the timer sees the state that code
+// leaves behind. In the loop both classes run the same code up to t0: one
+// memcpy of the sample's input into `dst`, which op() reads.
+template <typename Fill, typename Op>
+Timings Measure(std::size_t samples, Xorshift64& rng, MutableByteSpan dst,
+                Fill fill, Op op) {
+  const std::size_t size = dst.size();
+  std::vector<int> cls(samples);
+  Bytes inputs(samples * size);
+  for (std::size_t s = 0; s < samples; ++s) {
+    cls[s] = static_cast<int>(rng.Next() & 1);
+    fill(cls[s], MutableByteSpan(&inputs[s * size], size));
+  }
+  Timings t;
+  for (std::size_t s = 0; s < samples; ++s) {
+    std::memcpy(dst.data(), &inputs[s * size], size);
+    const std::uint64_t t0 = Now();
+    op();
+    const std::uint64_t t1 = Now();
+    t.cls[cls[s]].push_back(static_cast<double>(t1 - t0));
+  }
+  return t;
+}
+
 // ------------------------------------------------------------- targets
 
 Timings RunAeadTagVerify(std::size_t samples, Xorshift64& rng) {
@@ -154,27 +182,23 @@ Timings RunAeadTagVerify(std::size_t samples, Xorshift64& rng) {
   const Bytes aad = ToBytes("ctcheck-aead");
   Bytes plaintext(1024, 0xab);
   const Bytes sealed = crypto::AeadSeal(key, nonce, aad, plaintext);
-
-  Timings t;
-  Bytes forged = sealed;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const int cls = static_cast<int>(rng.Next() & 1);
-    std::memcpy(forged.data(), sealed.data(), sealed.size());
-    const std::size_t auth_offset = sealed.size() - crypto::kAeadTagSize;
-    if (cls == 0) {
-      forged[auth_offset] ^= 0x01;  // differs at the first tag byte only
-    } else {
-      for (std::size_t i = 0; i < crypto::kAeadTagSize; ++i) {
-        forged[auth_offset + i] ^= rng.Byte() | 0x01;
-      }
-    }
-    const std::uint64_t t0 = Now();
-    auto r = crypto::AeadOpen(key, nonce, aad, forged);
-    const std::uint64_t t1 = Now();
-    DoNotOptimize(&r);
-    t.cls[cls].push_back(static_cast<double>(t1 - t0));
-  }
-  return t;
+  Bytes forged = sealed;  // each sample's input is its tag
+  const MutableByteSpan tag(&forged[sealed.size() - crypto::kAeadTagSize],
+                            crypto::kAeadTagSize);
+  return Measure(
+      samples, rng, tag,
+      [&](int cls, MutableByteSpan in) {
+        std::memcpy(in.data(), tag.data(), tag.size());
+        if (cls == 0) {
+          in[0] ^= 0x01;  // differs at the first tag byte only
+        } else {
+          for (std::uint8_t& b : in) b ^= rng.Byte() | 0x01;
+        }
+      },
+      [&] {
+        auto r = crypto::AeadOpen(key, nonce, aad, forged);
+        DoNotOptimize(&r);
+      });
 }
 
 Timings RunPoly1305(std::size_t samples, Xorshift64& rng) {
@@ -183,22 +207,19 @@ Timings RunPoly1305(std::size_t samples, Xorshift64& rng) {
   const Bytes key(crypto::kPoly1305KeySize, 0x5a);
   Bytes msg(512, 0);
   std::uint8_t tag[crypto::kPoly1305TagSize];
-
-  Timings t;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const int cls = static_cast<int>(rng.Next() & 1);
-    if (cls == 0) {
-      std::memset(msg.data(), 0xff, msg.size());  // max limbs: forces carries
-    } else {
-      rng.Fill(msg);
-    }
-    const std::uint64_t t0 = Now();
-    crypto::Poly1305(key, msg, tag);
-    const std::uint64_t t1 = Now();
-    DoNotOptimize(tag);
-    t.cls[cls].push_back(static_cast<double>(t1 - t0));
-  }
-  return t;
+  return Measure(
+      samples, rng, msg,
+      [&](int cls, MutableByteSpan in) {
+        if (cls == 0) {
+          std::memset(in.data(), 0xff, in.size());  // max limbs: forces carries
+        } else {
+          rng.Fill(in);
+        }
+      },
+      [&] {
+        crypto::Poly1305(key, msg, tag);
+        DoNotOptimize(tag);
+      });
 }
 
 Timings RunCuckooMatch(std::size_t samples, Xorshift64& rng) {
@@ -211,18 +232,17 @@ Timings RunCuckooMatch(std::size_t samples, Xorshift64& rng) {
   Bytes payload(256, 0x33);
   const Bytes rec_a = *pir::PackRecord(fp_a, payload, record_size);
   const Bytes rec_b = *pir::PackRecord(fp_b, payload, record_size);
-
-  Timings t;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const int cls = static_cast<int>(rng.Next() & 1);
-    const std::uint64_t fp = cls == 0 ? fp_a : fp_b;
-    const std::uint64_t t0 = Now();
-    auto r = pir::InterpretCuckooRecords(rec_a, rec_b, fp);
-    const std::uint64_t t1 = Now();
-    DoNotOptimize(&r);
-    t.cls[cls].push_back(static_cast<double>(t1 - t0));
-  }
-  return t;
+  Bytes fp(sizeof(std::uint64_t));
+  return Measure(
+      samples, rng, fp,
+      [&](int cls, MutableByteSpan in) {
+        StoreLE64(in.data(), cls == 0 ? fp_a : fp_b);
+      },
+      [&] {
+        auto r =
+            pir::InterpretCuckooRecords(rec_a, rec_b, LoadLE64(fp.data()));
+        DoNotOptimize(&r);
+      });
 }
 
 Timings RunOramStashScan(std::size_t samples, Xorshift64& rng) {
@@ -236,18 +256,17 @@ Timings RunOramStashScan(std::size_t samples, Xorshift64& rng) {
     stash.emplace(id, block);
   }
   Bytes out(256, 0);
-
-  Timings t;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const int cls = static_cast<int>(rng.Next() & 1);
-    const std::uint64_t want = cls == 0 ? 7 : (rng.Next() | (1ull << 32));
-    const std::uint64_t t0 = Now();
-    const std::uint64_t mask = oram::CtStashScan(stash, want, out);
-    const std::uint64_t t1 = Now();
-    DoNotOptimize(&mask);
-    t.cls[cls].push_back(static_cast<double>(t1 - t0));
-  }
-  return t;
+  Bytes want(sizeof(std::uint64_t));
+  return Measure(
+      samples, rng, want,
+      [&](int cls, MutableByteSpan in) {
+        StoreLE64(in.data(), cls == 0 ? 7 : (rng.Next() | (1ull << 32)));
+      },
+      [&] {
+        const std::uint64_t mask =
+            oram::CtStashScan(stash, LoadLE64(want.data()), out);
+        DoNotOptimize(&mask);
+      });
 }
 
 // Deliberately variable-time reference: the early-exit compare every C
@@ -266,19 +285,17 @@ Timings RunVartimeRef(std::size_t samples, Xorshift64& rng) {
   Bytes a(n);
   rng.Fill(a);
   Bytes b = a;
-
-  Timings t;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const int cls = static_cast<int>(rng.Next() & 1);
-    std::memcpy(b.data(), a.data(), n);
-    if (cls == 1) b[0] ^= 0xff;  // mismatch at byte 0: early exit
-    const std::uint64_t t0 = Now();
-    const bool eq = VariableTimeEqRef(a.data(), b.data(), n);
-    const std::uint64_t t1 = Now();
-    DoNotOptimize(&eq);
-    t.cls[cls].push_back(static_cast<double>(t1 - t0));
-  }
-  return t;
+  // Each sample's input is b's first byte; class 1 mismatches there, so the
+  // compare exits at once.
+  return Measure(
+      samples, rng, MutableByteSpan(b.data(), 1),
+      [&](int cls, MutableByteSpan in) {
+        in[0] = static_cast<std::uint8_t>(cls == 0 ? a[0] : a[0] ^ 0xff);
+      },
+      [&] {
+        const bool eq = VariableTimeEqRef(a.data(), b.data(), n);
+        DoNotOptimize(&eq);
+      });
 }
 
 // ------------------------------------------------------------- driver

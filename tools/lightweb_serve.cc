@@ -17,7 +17,7 @@
 //                  [--serve-mode=reactor|threaded]
 //                  [--metrics-port=N] [--metrics-dump=PATH]
 //                  [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]
-//                  [--deadline-ms=N] [--serial-batches] [--threads=N]
+//                  [--deadline-ms=N] [--threads=N]
 //                  [--scan-kernel=auto|scalar|avx2|avx512] [--no-hugepages]
 //                  <site.json> ...
 //
@@ -37,7 +37,6 @@
 //   --max-wait-ms=N   co-rider window after a batch's first query
 //   --queue-limit=N   shed RESOURCE_EXHAUSTED beyond N queued queries
 //   --deadline-ms=N   per-request deadline budget driving early batch close
-//   --serial-batches  disable the expand/scan pipeline overlap (A/B knob)
 //   --threads=N       per-request compute threads (0 = hardware)
 //   --scan-kernel=K   pin the XOR kernel tier (default runtime-detected)
 //   --no-hugepages    skip madvise(MADV_HUGEPAGE) on record arenas
@@ -221,8 +220,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --serve-mode (want reactor|threaded)\n");
         return 2;
       }
-    } else if (arg == "--serial-batches") {
-      server_options.batch_config.pipelined = false;
     } else if (arg.rfind("--threads=", 0) == 0) {
       server_options.num_threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--scan-kernel=", 0) == 0) {
