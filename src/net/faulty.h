@@ -220,8 +220,9 @@ class RecordingTransport final : public Transport {
   FrameLog* log_;
 };
 
-// A latch a test opens by hand. Shared between the test and a
-// GatedCloseTransport, which the code under test owns.
+// A latch a test opens by hand. Shared between the test and what it
+// holds in the code under test: a GatedCloseTransport's Close(), or a
+// shard's batch passes (tests/frontend_test.cc).
 class Gate {
  public:
   // Blocks until Open(); arrivals are counted for WaitForArrival.

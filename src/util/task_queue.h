@@ -1,15 +1,15 @@
 // A small FIFO task queue with dedicated worker threads.
 //
 // The epoll reactor's frame handlers must never block (net/reactor.h), but
-// some services compute inline and serially — the ORAM enclave processes
-// one request at a time, a shard fan-out holds single-stream links. Those
-// serve paths post each decoded request here and return to the loop; a
-// worker runs the blocking compute and queues the reply via Reactor::Send.
+// the ORAM enclave computes inline and serially, one request at a time.
+// Its serve path posts each decoded request here and returns to the loop;
+// a worker runs the blocking compute and queues the reply via
+// Reactor::Send.
 //
 // This is deliberately NOT ThreadPool: ParallelFor spreads one big job
 // across cores; this queue serializes many small independent jobs off the
-// latency-critical loop thread. The PIR path needs neither — the
-// BatchScheduler's admission queue is its dispatcher.
+// latency-critical loop thread. The PIR servers and the shard data servers
+// need neither — a BatchScheduler's admission queue is their dispatcher.
 #pragma once
 
 #include <condition_variable>

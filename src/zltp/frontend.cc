@@ -55,6 +55,15 @@ void SendErrorFrameTo(net::Reactor& reactor, net::Reactor::ConnId id,
   (void)reactor.Send(id, Encode(e));
 }
 
+// Counts and encodes a shard's reply to one answered sub-tree query.
+net::Frame ShardReply(std::uint32_t request_id, Bytes answer) {
+  obs::M().shard_requests.Inc();
+  GetResponse response;
+  response.request_id = request_id;
+  response.body = std::move(answer);
+  return Encode(response);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- data shard
@@ -65,12 +74,18 @@ ShardDataServer::ShardDataServer(const ShardTopology& topology,
       shard_index_(shard_index),
       pool_(num_threads == 1 ? nullptr
                              : std::make_unique<ThreadPool>(num_threads)),
-      db_(topology.shard_domain_bits(), topology.record_size) {
+      db_(topology.shard_domain_bits(), topology.record_size),
+      // The close rule drains what is queued: the front-end's fan-out
+      // delivers a page's sub-queries to every shard as one burst, so a
+      // co-rider window would only add its length to every page.
+      batcher_(*this, BatchConfig{.max_wait = std::chrono::milliseconds(0)},
+               pool_.get()) {
   CheckTopology(topology);
   LW_CHECK_MSG(shard_index < topology.shard_count(), "shard index range");
 }
 
 ShardDataServer::~ShardDataServer() {
+  batcher_.Stop();
   // Snapshot-then-join (see ZltpPirServer::~ZltpPirServer): handlers may
   // still be enqueueing via ServeConnectionDetached, so the lock covers
   // only the state swap.
@@ -102,19 +117,35 @@ Status ShardDataServer::Load(std::uint64_t global_index, ByteSpan record) {
   return db_.Upsert(global_index >> topology_.top_bits, record);
 }
 
-Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
+Status ShardDataServer::CheckKey(const dpf::SubtreeKey& key) const {
   if (key.domain_bits != topology_.shard_domain_bits()) {
     return ProtocolError("sub-tree key has wrong depth for this shard");
   }
+  return Status::Ok();
+}
+
+Result<std::vector<Bytes>> ShardDataServer::AnswerBatch(
+    const std::vector<dpf::SubtreeKey>& keys, ThreadPool* pool) const {
+  for (const dpf::SubtreeKey& key : keys) LW_RETURN_IF_ERROR(CheckKey(key));
+  if (pass_hook_) pass_hook_();
+  // Expansion takes no lock, so a Load waits only for the scan.
   const auto expand_start = obs::TraceNow();
-  const dpf::BitVector bits = dpf::EvalSubtree(key);
+  std::vector<dpf::BitVector> bits;
+  bits.reserve(keys.size());
+  for (const dpf::SubtreeKey& key : keys) bits.push_back(dpf::EvalSubtree(key));
   const std::uint64_t expand_ns = obs::ElapsedNs(expand_start);
   obs::M().dpf_expand_ns.Observe(expand_ns);
   obs::AddExpandNs(expand_ns);
-  Bytes out(topology_.record_size);
+  std::vector<Bytes> answers;
   std::lock_guard<std::mutex> lock(db_mu_);
-  db_.Answer(bits, out, pool_.get());
-  return out;
+  db_.AnswerBatch(bits, answers, pool);
+  return answers;
+}
+
+Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
+  LW_ASSIGN_OR_RETURN(std::vector<Bytes> answers,
+                      AnswerBatch({key}, pool_.get()));
+  return std::move(answers.front());
 }
 
 void ShardDataServer::ServeConnection(net::Transport& transport) {
@@ -134,17 +165,16 @@ void ShardDataServer::ServeConnection(net::Transport& transport) {
                      "malformed sub-tree key: " + key.status().message());
       return;
     }
-    auto answer = Answer(*key);
+    auto answer = batcher_.Submit(std::move(*key));
     if (!answer.ok()) {
       SendErrorFrame(transport, answer.status().code(),
                      answer.status().message());
       continue;
     }
-    obs::M().shard_requests.Inc();
-    GetResponse response;
-    response.request_id = request->request_id;
-    response.body = std::move(*answer);
-    if (!transport.Send(Encode(response)).ok()) return;
+    if (!transport.Send(ShardReply(request->request_id, std::move(*answer)))
+             .ok()) {
+      return;
+    }
   }
 }
 
@@ -162,10 +192,6 @@ void ShardDataServer::ServeConnectionDetached(
 
 Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
                                        net::TcpListener listener) {
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    if (dispatch_ == nullptr) dispatch_ = std::make_unique<TaskQueue>(1);
-  }
   net::Reactor::Handler handler;
   // Shard links are CDN-internal: bare GetRequest frames, no hello.
   handler.on_frame = [this, &reactor](net::Reactor::ConnId id,
@@ -188,21 +214,17 @@ Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
       reactor.CloseAfterFlush(id);
       return;
     }
-    // The sub-tree expansion + XOR scan is the shard's heavy compute.
-    dispatch_->Post([this, &reactor, id, request_id = request->request_id,
-                     k = std::move(*key)] {
-      auto answer = Answer(k);
-      if (!answer.ok()) {
-        SendErrorFrameTo(reactor, id, answer.status().code(),
-                         answer.status().message());
-        return;
-      }
-      obs::M().shard_requests.Inc();
-      GetResponse response;
-      response.request_id = request_id;
-      response.body = std::move(*answer);
-      (void)reactor.Send(id, Encode(response));
-    });
+    // The batch worker runs this callback and queues the reply.
+    batcher_.SubmitAsync(
+        std::move(*key), [&reactor, id, request_id = request->request_id](
+                             Result<Bytes> answer, const obs::StageTimings&) {
+          if (!answer.ok()) {
+            SendErrorFrameTo(reactor, id, answer.status().code(),
+                             answer.status().message());
+            return;
+          }
+          (void)reactor.Send(id, ShardReply(request_id, std::move(*answer)));
+        });
   };
   return reactor.AddListener(std::move(listener), std::move(handler));
 }

@@ -35,8 +35,8 @@
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/status.h"
-#include "util/task_queue.h"
 #include "util/thread_pool.h"
+#include "zltp/batch.h"
 #include "zltp/messages.h"
 
 namespace lw::zltp {
@@ -72,29 +72,55 @@ class ShardDataServer {
   // index does not belong to this shard's residue class.
   Status Load(std::uint64_t global_index, ByteSpan record);
 
-  // Local answer to one sub-tree query (for in-process use and tests).
+  // PROTOCOL_ERROR unless the key's depth is this shard's sub-domain.
+  // The shard's scheduler checks every key here before it queues, so a
+  // wrong-depth key fails alone and its co-riders still get answers.
+  Status CheckKey(const dpf::SubtreeKey& key) const;
+
+  // One pass for a batch of sub-tree queries: expands each key with
+  // dpf::EvalSubtree, then answers them all with one
+  // BlobDatabase::AnswerBatch pass over the shard. Answers in key order.
+  // The shard's scheduler answers every served batch here.
+  Result<std::vector<Bytes>> AnswerBatch(
+      const std::vector<dpf::SubtreeKey>& keys,
+      ThreadPool* pool = nullptr) const;
+
+  // A one-key AnswerBatch on the shard's pool (in-process use and tests).
   Result<Bytes> Answer(const dpf::SubtreeKey& key) const;
 
-  // Serves framed sub-tree queries until the peer disconnects.
+  // Serves framed sub-tree queries until the peer disconnects. Each query
+  // waits for its answer before the next frame is read, so a connection's
+  // queries co-ride only with other connections'.
   void ServeConnection(net::Transport& transport);
   void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
 
-  // Event-driven serving: sub-tree queries decode on the loop and compute
-  // on a dispatcher worker (teardown order: see ZltpPirServer, server.h).
+  // Event-driven serving: sub-tree queries decode on the loop and queue in
+  // the shard's scheduler, so the queries that reach the shard while a
+  // pass runs share the next one (teardown order: see ZltpPirServer,
+  // server.h).
   Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener);
 
+  BatchStats batch_stats() const { return batcher_.stats(); }
+
  private:
+  friend class ShardDataServerTestPeer;  // sets pass_hook_
+
   ShardTopology topology_;
   std::size_t shard_index_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   mutable std::mutex db_mu_;
   pir::BlobDatabase db_;
+  // Runs at the start of every AnswerBatch when set. Tests set it before
+  // any query arrives to hold a pass on a gate while co-riders queue.
+  std::function<void()> pass_hook_;
 
   std::mutex threads_mu_;  // snapshot-then-join discipline (see server.h)
   bool stopping_ = false;
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<net::Transport>> owned_transports_;
-  std::unique_ptr<TaskQueue> dispatch_;  // last member: joins first
+  // Last member: its worker answers from everything above, so it is
+  // constructed after and destroyed before them.
+  BasicBatchScheduler<dpf::SubtreeKey, ShardDataServer> batcher_;
 };
 
 // Tuning for the multiplexed fan-out (ShardFanout).

@@ -101,11 +101,16 @@ std::size_t PirStore::stored_bytes() const {
   return n;
 }
 
-Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
-                                    ThreadPool* pool) const {
+Status PirStore::CheckKey(const dpf::DpfKey& key) const {
   if (key.domain_bits != config_.domain_bits) {
     return ProtocolError("DPF domain does not match universe domain");
   }
+  return Status::Ok();
+}
+
+Result<Bytes> PirStore::AnswerQuery(const dpf::DpfKey& key,
+                                    ThreadPool* pool) const {
+  LW_RETURN_IF_ERROR(CheckKey(key));
   std::shared_lock lock(mu_);
   Bytes out(config_.record_size, 0);
   std::uint64_t expand_ns = 0;  // summed over shards, one sample per query
@@ -142,11 +147,7 @@ Result<std::vector<Bytes>> PirStore::AnswerBatch(
 
 Result<PirStore::ExpandedBatch> PirStore::ExpandBatch(
     const std::vector<dpf::DpfKey>& keys, ThreadPool* pool) const {
-  for (const dpf::DpfKey& k : keys) {
-    if (k.domain_bits != config_.domain_bits) {
-      return ProtocolError("DPF domain does not match universe domain");
-    }
-  }
+  for (const dpf::DpfKey& k : keys) LW_RETURN_IF_ERROR(CheckKey(k));
   // No store lock: expansion reads only the keys and the immutable domain
   // geometry, so a publish waits only for the scan, not for expansion.
   const auto t0 = obs::TraceNow();

@@ -57,6 +57,11 @@ class PirStore {
   std::size_t record_count() const;
   std::size_t stored_bytes() const;
 
+  // PROTOCOL_ERROR unless the DPF key's domain matches the universe's.
+  // BatchScheduler checks every key here before it queues, so one
+  // malformed query cannot fail its co-riders' batch.
+  Status CheckKey(const dpf::DpfKey& key) const;
+
   // Answers one PIR query (full scan). The DPF key's domain must match.
   // A non-null pool parallelizes the data scan across its workers
   // (identical answers either way); the key expands serially.

@@ -4,8 +4,11 @@
 // over 2^top_bits shard servers.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <thread>
 
+#include "net/faulty.h"
 #include "net/reactor.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -17,6 +20,17 @@
 #include "zltp/frontend.h"
 
 namespace lw::zltp {
+
+// Holds a shard's batch passes on a gate. It lives outside the anonymous
+// namespace because ShardDataServer names it as a friend.
+class ShardDataServerTestPeer {
+ public:
+  static void HoldPassesOn(ShardDataServer& shard,
+                           std::shared_ptr<net::Gate> gate) {
+    shard.pass_hook_ = [gate = std::move(gate)] { gate->Pass(); };
+  }
+};
+
 namespace {
 
 ShardTopology SmallTopology() {
@@ -258,6 +272,164 @@ TEST(FrontEnd, ShardsOverTcp) {
   auto un = pir::UnpackRecord(record);
   ASSERT_TRUE(un.ok());
   EXPECT_EQ(ToString(un->payload), "v");
+}
+
+// ------------------------------------------------------ shard batching
+//
+// Every pass of the shard below waits on a gate until the test opens it.
+// The test holds the first pass, queues co-riders behind it, then opens
+// the gate: no sleeps and no timing, only the order of events.
+
+constexpr int kCoRiders = 5;  // a page's sub-queries
+
+struct GatedShard {
+  ShardTopology topology = SmallTopology();
+  ShardDataServer shard{topology, 0};
+  std::shared_ptr<net::Gate> gate = std::make_shared<net::Gate>();
+
+  GatedShard() {
+    // Shard 0 of 4 owns the indices ≡ 0 (mod 4).
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      const Bytes record(topology.record_size,
+                         static_cast<std::uint8_t>(0x40 + i));
+      EXPECT_TRUE(shard.Load(4 * i, record).ok());
+    }
+    ShardDataServerTestPeer::HoldPassesOn(shard, gate);
+  }
+  // An early return must not leave the shard's worker parked on the gate.
+  ~GatedShard() { gate->Open(); }
+
+  // This shard's sub-tree key of a fresh DPF key for `target`.
+  dpf::SubtreeKey Key(std::uint64_t target) const {
+    const dpf::KeyPair pair = dpf::Generate(target, topology.domain_bits);
+    return dpf::SplitForShards(pair.key0, topology.top_bits)[0];
+  }
+  // A sub-tree key split one level too high: its sub-domain has one bit
+  // more than this shard's.
+  dpf::SubtreeKey WrongDepthKey() const {
+    const dpf::KeyPair pair = dpf::Generate(0, topology.domain_bits);
+    return dpf::SplitForShards(pair.key0, topology.top_bits - 1)[0];
+  }
+};
+
+net::Frame SubtreeRequest(std::uint32_t request_id,
+                          const dpf::SubtreeKey& key) {
+  GetRequest request;
+  request.request_id = request_id;
+  request.body = key.Serialize();
+  return Encode(request);
+}
+
+// A bounded wait, so that a reply that never comes fails the test instead
+// of hanging it.
+net::Deadline ReplyBudget() {
+  return net::Deadline::After(std::chrono::seconds(30));
+}
+
+void ExpectProtocolError(net::Transport& client) {
+  auto reply = client.Receive(ReplyBudget());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto error = DecodeError(*reply);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->code, StatusCode::kProtocolError);
+}
+
+// Receives one GetResponse into answers[request_id].
+void ReceiveAnswer(net::Transport& client,
+                   std::map<std::uint32_t, Bytes>& answers) {
+  auto reply = client.Receive(ReplyBudget());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto response = DecodeGetResponse(*reply);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  answers[response->request_id] = std::move(response->body);
+}
+
+TEST(ShardBatching, ReactorCoRidersShareOnePassAndWrongDepthFailsAlone) {
+  net::Reactor reactor;  // outlives the shard: its callbacks Send here
+  GatedShard g;
+  auto listener = net::TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  const std::uint16_t port = listener->bound_port();
+  ASSERT_TRUE(g.shard.ServeOnReactor(reactor, std::move(*listener)).ok());
+  ASSERT_TRUE(reactor.Start().ok());
+  auto client = net::TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+
+  std::vector<dpf::SubtreeKey> keys;
+  for (int i = 0; i <= kCoRiders; ++i) keys.push_back(g.Key(4 * i + 8));
+  ASSERT_TRUE((*client)->Send(SubtreeRequest(0, keys[0])).ok());
+  ASSERT_TRUE(g.gate->WaitForArrival(std::chrono::seconds(30)));
+
+  // The co-riders and a wrong-depth key queue behind the held pass. The
+  // loop handles one connection's frames in order, so the wrong-depth
+  // key's error, sent at admission, arrives after every co-rider ahead of
+  // it has queued — and before any pass has finished.
+  for (int i = 1; i <= kCoRiders; ++i) {
+    ASSERT_TRUE((*client)
+                    ->Send(SubtreeRequest(static_cast<std::uint32_t>(i),
+                                          keys[static_cast<std::size_t>(i)]))
+                    .ok());
+  }
+  ASSERT_TRUE((*client)->Send(SubtreeRequest(99, g.WrongDepthKey())).ok());
+  ExpectProtocolError(**client);
+  BatchStats stats = g.shard.batch_stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCoRiders + 1));
+
+  g.gate->Open();
+  std::map<std::uint32_t, Bytes> answers;
+  for (int i = 0; i <= kCoRiders; ++i) ReceiveAnswer(**client, answers);
+  ASSERT_EQ(answers.size(), keys.size());
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(answers[i], g.shard.Answer(keys[i]).value()) << "query " << i;
+  }
+  // The held pass, then exactly one more for all the co-riders.
+  stats = g.shard.batch_stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCoRiders + 1));
+  reactor.Stop();
+}
+
+TEST(ShardBatching, ThreadedCoRidersAnsweredAndWrongDepthFailsAlone) {
+  GatedShard g;
+  // The threaded driver reads a connection's next frame only once its
+  // last query is answered, so every co-rider gets its own connection.
+  std::vector<std::unique_ptr<net::Transport>> clients;
+  for (int i = 0; i <= kCoRiders + 1; ++i) {
+    net::TransportPair pair = net::CreateInMemoryPair();
+    g.shard.ServeConnectionDetached(std::move(pair.b));
+    clients.push_back(std::move(pair.a));
+  }
+  net::Transport& bad_client = *clients.back();
+
+  std::vector<dpf::SubtreeKey> keys;
+  for (int i = 0; i <= kCoRiders + 1; ++i) keys.push_back(g.Key(4 * i + 8));
+  ASSERT_TRUE(clients[0]->Send(SubtreeRequest(0, keys[0])).ok());
+  ASSERT_TRUE(g.gate->WaitForArrival(std::chrono::seconds(30)));
+  for (int i = 1; i <= kCoRiders; ++i) {
+    const auto c = static_cast<std::size_t>(i);
+    ASSERT_TRUE(clients[c]
+                    ->Send(SubtreeRequest(static_cast<std::uint32_t>(i),
+                                          keys[c]))
+                    .ok());
+  }
+
+  // The wrong-depth key fails at admission while the first pass is still
+  // held; its connection stays up and its next query rides too.
+  ASSERT_TRUE(bad_client.Send(SubtreeRequest(99, g.WrongDepthKey())).ok());
+  ExpectProtocolError(bad_client);
+  const auto last = static_cast<std::uint32_t>(kCoRiders + 1);
+  ASSERT_TRUE(bad_client.Send(SubtreeRequest(last, keys[last])).ok());
+
+  g.gate->Open();
+  std::map<std::uint32_t, Bytes> answers;
+  for (auto& client : clients) ReceiveAnswer(*client, answers);
+  ASSERT_EQ(answers.size(), keys.size());
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(answers[i], g.shard.Answer(keys[i]).value()) << "query " << i;
+  }
+  EXPECT_EQ(g.shard.batch_stats().requests,
+            static_cast<std::uint64_t>(keys.size()));
 }
 
 }  // namespace

@@ -610,6 +610,47 @@ TEST(BatchScheduler, ShardedBatchesMatchIndividualAnswers) {
   EXPECT_EQ(answers, expected);
 }
 
+// A fake answerer: each key answers as its own one-byte record, and a
+// batch holding a negative key fails as a whole, as a store would whose
+// pass broke.
+struct ByteAnswerer {
+  Status CheckKey(const int&) const { return Status::Ok(); }
+  Result<std::vector<Bytes>> AnswerBatch(const std::vector<int>& keys,
+                                         ThreadPool*) const {
+    std::vector<Bytes> answers;
+    for (const int key : keys) {
+      if (key < 0) return UnavailableError("pass failed");
+      answers.push_back(Bytes{static_cast<std::uint8_t>(key)});
+    }
+    return answers;
+  }
+};
+
+TEST(BatchScheduler, FailedPassFailsEveryRiderAndTheNextBatchRuns) {
+  ByteAnswerer answerer;
+  // The batch closes only when full, so both riders share it.
+  BatchConfig config;
+  config.max_batch = 2;
+  config.max_wait = std::chrono::hours(1);
+  BasicBatchScheduler<int, ByteAnswerer> batcher(answerer, config);
+
+  Result<Bytes> broken = InternalError("unset");
+  Result<Bytes> co_rider = InternalError("unset");
+  std::thread a([&] { broken = batcher.Submit(-1); });
+  std::thread b([&] { co_rider = batcher.Submit(5); });
+  a.join();
+  b.join();
+  EXPECT_EQ(broken.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(co_rider.status().code(), StatusCode::kUnavailable);
+
+  Result<Bytes> next = InternalError("unset");
+  std::thread c([&] { next = batcher.Submit(7); });
+  EXPECT_EQ(batcher.Submit(9).value(), Bytes{9});
+  c.join();
+  EXPECT_EQ(next.value(), Bytes{7});
+  EXPECT_EQ(batcher.stats().batches, 2u);
+}
+
 // --------------------------------------------- end-to-end PIR sessions
 
 class PirSessionTest : public ::testing::Test {

@@ -136,6 +136,20 @@ bool LoadSite(lightweb::Universe& universe, const std::string& path) {
   return true;
 }
 
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <base_port> [--snapshot state.json]\n"
+               "         [--serve-mode=reactor|threaded]\n"
+               "         [--metrics-port=N] [--metrics-dump=PATH]\n"
+               "         [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]\n"
+               "         [--deadline-ms=N] [--threads=N]\n"
+               "         [--scan-kernel=auto|scalar|avx2|avx512] "
+               "[--no-hugepages]\n"
+               "         <site.json> ...\n",
+               argv0);
+  return 2;
+}
+
 // Accept loop: every connection gets a detached server thread.
 void AcceptLoop(net::TcpListener listener, zltp::ZltpPirServer& server,
                 const char* label) {
@@ -151,12 +165,7 @@ void AcceptLoop(net::TcpListener listener, zltp::ZltpPirServer& server,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <base_port> <site.json> [more-sites.json ...]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 3) return Usage(argv[0]);
   const int base_port = std::atoi(argv[1]);
   if (base_port <= 0 || base_port > 65531) {
     std::fprintf(stderr, "bad base port\n");
@@ -171,7 +180,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> site_files;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--snapshot" && i + 1 < argc) {
+    if (arg == "--snapshot") {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "--snapshot needs a file\n");
+        return Usage(argv[0]);
+      }
       snapshot_path = argv[++i];
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
       metrics_port = std::atoi(arg.c_str() + 15);
@@ -231,6 +244,9 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--no-hugepages") {
       SetHugepagesEnabled(false);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      return Usage(argv[0]);
     } else {
       site_files.emplace_back(arg);
     }
