@@ -15,15 +15,15 @@
 // per scenario into BENCH_throughput.json so CI can track the trajectory
 // (tools/bench/compare_bench.py fails on >15% req/s regressions).
 //
-// Scenarios cover both serving models (docs/ARCHITECTURE.md): the blocking
-// thread-per-connection path and the epoll reactor, including a
-// high-connection reactor scenario (default 1024 concurrent connections,
-// --conns=N) that a thread-per-connection server could only match with a
-// thousand kernel threads. Two sharded front-end scenarios (frontend/*)
-// stand up the full §5.2 deployment — FrontEndServers over shard data
-// servers, all multiplexed on one reactor — and A/B one client against
-// many so CI can assert the shard fan-out pipelines instead of
-// serializing.
+// Scenarios cover both serving drivers (docs/ARCHITECTURE.md): the
+// transport pump, a reader and a writer thread per connection (the
+// threaded/* rows), and the epoll reactor, including a high-connection
+// reactor scenario (default 1024 concurrent connections, --conns=N) that
+// the pump could only match with two thousand kernel threads. Two sharded
+// front-end scenarios (frontend/*) stand up the full §5.2 deployment —
+// FrontEndServers over shard data servers, all multiplexed on one reactor
+// — and A/B one client against many so CI can assert the shard fan-out
+// pipelines instead of serializing.
 //
 // Flags: --smoke (CI-sized run), --threads=N (server scan/expand pool),
 // --json=PATH (default BENCH_throughput.json), --clients=N, --requests=N
@@ -118,7 +118,7 @@ double PercentileMs(std::vector<double>& sorted_ms, double q) {
 }
 
 // Accepts connections until the listener closes, handing each to the
-// server's detached per-connection serving.
+// server's transport pump (ServeConnectionDetached).
 template <typename Server>
 std::thread AcceptLoop(net::TcpListener& listener, Server& server) {
   return std::thread([&listener, &server] {
@@ -485,9 +485,9 @@ ScenarioResult RunFrontendScenario(const ThroughputParams& base_params,
   const Bytes keyword_seed(16, 0x7e);
   zltp::FrontEndServer frontend0(0, keyword_seed, make_fanout(0));
   zltp::FrontEndServer frontend1(1, keyword_seed, make_fanout(1));
-  // Clients are served by per-connection threads whose GETs meet in the
-  // fan-out's blocking Answer — N concurrent Answers must pipeline through
-  // the mux, which is exactly what the single-vs-many A/B detects.
+  // Clients are served by the transport pump, whose GETs meet in the
+  // fan-out's AnswerAsync — N concurrent ops must pipeline through the mux,
+  // which is exactly what the single-vs-many A/B detects.
   auto client_listener0 = net::TcpListener::Listen(0);
   auto client_listener1 = net::TcpListener::Listen(0);
   LW_CHECK(client_listener0.ok() && client_listener1.ok());

@@ -5,23 +5,22 @@
 // receive buffers, parses complete ZLTP frames out of them, and flushes
 // per-connection send queues as sockets become writable. Nothing on the
 // loop ever blocks in the kernel, so one thread multiplexes thousands of
-// connections — the thread-per-connection serve path keeps the kernel
-// scheduler in charge of who runs; the reactor hands that decision to the
-// batch scheduler's admission queue instead (docs/ARCHITECTURE.md).
+// connections, and the batch scheduler's admission queue, not the kernel
+// thread scheduler, decides which request runs next (docs/ARCHITECTURE.md).
 //
 // Division of labor:
 //
 //   loop thread      accept, read, frame parsing, write flushing, timers.
 //                    Handler::on_frame runs here and MUST NOT block — it
 //                    decodes and hands off (e.g. BatchScheduler::SubmitAsync
-//                    or a ReactorDispatcher worker) and returns.
+//                    or ShardFanout::AnswerAsync) and returns.
 //   any thread       Send() appends wire bytes to the connection's send
 //                    queue and wakes the loop via an eventfd; the loop owns
 //                    the actual write() calls, including partial-write
 //                    resume under EAGAIN.
-//   compute threads  completion callbacks (batch workers, dispatcher
-//                    workers) call Send()/CloseAfterFlush() to queue
-//                    replies; they never touch the socket directly.
+//   compute threads  completion callbacks (batch workers, fan-out links)
+//                    call Send()/CloseAfterFlush() to queue replies; they
+//                    never touch the socket directly.
 //
 // Deadlines ride the loop, not per-thread poll() calls: an idle timeout
 // (no complete frame in N ms — the slow-loris guard) and a write-stall
@@ -29,9 +28,9 @@
 // injectable lw::Clock each iteration, so FakeClock tests drive expiry
 // deterministically via Advance() + Wakeup() with zero real waiting.
 //
-// The blocking thread-per-connection path (tcp.h + ServeConnection loops)
-// stays compilable behind --serve-mode=threaded for A/B runs and
-// equivalence tests.
+// The ZLTP endpoint core (zltp/endpoint.h) binds its protocol to this
+// reactor; its other driver pumps blocking net::Transports (tcp.h) for
+// --serve-mode=threaded and in-process links.
 #pragma once
 
 #include <chrono>

@@ -68,8 +68,8 @@ Status SendAll(int fd, const std::uint8_t* data, std::size_t n,
   std::size_t done = 0;
   while (done < n) {
     LW_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline, "send"));
-    // Blocking by design: this is the threaded A/B serve path; the reactor
-    // path writes via per-connection send queues (net/reactor.cc).
+    // Blocking by design: clients and the servers' transport pump; the
+    // reactor path writes via per-connection send queues (net/reactor.cc).
     // lwlint: allow(blocking-in-reactor)
     const ssize_t w = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
     if (w < 0) {
@@ -103,7 +103,7 @@ Status RecvAll(int fd, std::uint8_t* data, std::size_t n, bool eof_ok,
   std::size_t done = 0;
   while (done < n) {
     LW_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "receive"));
-    // Blocking by design: threaded A/B serve path (see SendAll).
+    // Blocking by design: clients and the transport pump (see SendAll).
     // lwlint: allow(blocking-in-reactor)
     const ssize_t r = ::recv(fd, data + done, n - done, 0);
     if (r < 0) {

@@ -15,7 +15,7 @@
 //  workloads, so there is no second batch whose expansion could overlap
 //  this scan (docs/PERFORMANCE.md, "One batch worker").
 //
-//  One engine, two answerers.  BasicBatchScheduler<Key, Answerer> batches
+//  One engine, three answerers.  BasicBatchScheduler<Key, Answerer> batches
 //  riders' keys against an Answerer that provides
 //      Status CheckKey(const Key&) const;
 //          admission: a key that fails it is answered with its error at
@@ -26,7 +26,10 @@
 //          order.
 //  BatchScheduler answers full DPF keys against a PirStore (ZltpPirServer);
 //  a ShardDataServer answers §5.2 sub-tree keys against its own slice of
-//  the universe (src/zltp/frontend.h). Tests substitute fake answerers.
+//  the universe (src/zltp/frontend.h); a ZltpEnclaveServer answers sealed
+//  requests one rider at a time (max_batch 1), which makes the scheduler
+//  its serial executor off the serving threads (src/zltp/server.h). Tests
+//  substitute fake answerers.
 //
 //  Admission control.  Submit sheds load with RESOURCE_EXHAUSTED once
 //  queue_limit requests are already waiting — bounding queue wait instead
@@ -132,16 +135,15 @@ class BasicBatchScheduler {
   // has been answered (or the request failed admission: the answerer's
   // CheckKey error, UNAVAILABLE after Stop(), RESOURCE_EXHAUSTED when
   // shed, DEADLINE_EXCEEDED when the deadline budget expired before its
-  // batch formed). This is how the event-driven serve path rides the
-  // batcher without parking a thread per request: the reactor's on_frame
-  // decodes, calls SubmitAsync, and the callback queues the reply frame
+  // batch formed). This is how serving rides the batcher without parking a
+  // thread per request: the endpoint core decodes a frame, calls
+  // SubmitAsync, and the callback queues the reply frame
   // (docs/ARCHITECTURE.md).
   void SubmitAsync(Key key, SubmitCallback done);
 
-  // Blocking convenience over SubmitAsync (the thread-per-connection serve
-  // path): waits for the callback, returns the answer. When `stages` is
-  // non-null, the batch's expand/scan nanoseconds are written into it
-  // before this call returns.
+  // Blocking convenience over SubmitAsync for direct callers: waits for the
+  // callback, returns the answer. When `stages` is non-null, the batch's
+  // expand/scan nanoseconds are written into it before this call returns.
   Result<Bytes> Submit(Key key, obs::StageTimings* stages = nullptr);
 
   // Drains queued and in-flight batches, then joins the batch worker

@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -24,44 +23,15 @@ void CheckTopology(const ShardTopology& topology) {
                "top_bits out of range for the DPF tree");
 }
 
-// The front-end's hello check, shared by both serving models: a peer on
-// another protocol version cannot parse our DPF keys (PROTOCOL_ERROR); one
-// without two-server PIR has nothing to ask us (FAILED_PRECONDITION).
-Status CheckFrontEndHello(const Result<ClientHello>& hello) {
-  if (!hello.ok()) return hello.status();
-  if (hello->version != kProtocolVersion) {
-    return ProtocolError("unsupported protocol version");
-  }
-  for (Mode m : hello->supported_modes) {
-    if (m == Mode::kTwoServerPir) return Status::Ok();
-  }
-  return FailedPreconditionError("front-end requires two-server-pir mode");
-}
-
-void SendErrorFrame(net::Transport& t, StatusCode code,
-                    const std::string& msg) {
-  ErrorMsg e;
-  e.code = code;
-  e.message = msg;
-  (void)t.Send(Encode(e));
-}
-
-// Reactor-mode twin of SendErrorFrame (see server.cc for the discipline).
-void SendErrorFrameTo(net::Reactor& reactor, net::Reactor::ConnId id,
-                      StatusCode code, const std::string& msg) {
-  ErrorMsg e;
-  e.code = code;
-  e.message = msg;
-  (void)reactor.Send(id, Encode(e));
-}
-
-// Counts and encodes a shard's reply to one answered sub-tree query.
-net::Frame ShardReply(std::uint32_t request_id, Bytes answer) {
-  obs::M().shard_requests.Inc();
-  GetResponse response;
-  response.request_id = request_id;
-  response.body = std::move(answer);
-  return Encode(response);
+ServerHello FrontEndHello(std::uint8_t role, Bytes keyword_seed,
+                          const ShardTopology& topology) {
+  ServerHello hello;
+  hello.mode = Mode::kTwoServerPir;
+  hello.server_role = role;
+  hello.domain_bits = static_cast<std::uint8_t>(topology.domain_bits);
+  hello.record_size = static_cast<std::uint32_t>(topology.record_size);
+  hello.keyword_seed = std::move(keyword_seed);
+  return hello;
 }
 
 }  // namespace
@@ -79,28 +49,23 @@ ShardDataServer::ShardDataServer(const ShardTopology& topology,
       // delivers a page's sub-queries to every shard as one burst, so a
       // co-rider window would only add its length to every page.
       batcher_(*this, BatchConfig{.max_wait = std::chrono::milliseconds(0)},
-               pool_.get()) {
+               pool_.get()),
+      // Shard links are CDN-internal: bare GetRequest frames, no hello.
+      core_({.parse = [this](Bytes body) -> Result<EndpointCore::Answer> {
+               auto key = dpf::SubtreeKey::Deserialize(body);
+               if (!key.ok()) {
+                 return ProtocolError("malformed sub-tree key: " +
+                                      key.status().message());
+               }
+               return EndpointCore::Answer(
+                   [this, key = std::move(*key)](
+                       EndpointCore::Done done) mutable {
+                     batcher_.SubmitAsync(std::move(key), std::move(done));
+                   });
+             },
+             .counters = {.requests = &obs::M().shard_requests}}) {
   CheckTopology(topology);
   LW_CHECK_MSG(shard_index < topology.shard_count(), "shard index range");
-}
-
-ShardDataServer::~ShardDataServer() {
-  batcher_.Stop();
-  // Snapshot-then-join (see ZltpPirServer::~ZltpPirServer): handlers may
-  // still be enqueueing via ServeConnectionDetached, so the lock covers
-  // only the state swap.
-  std::vector<std::thread> threads;
-  std::vector<std::unique_ptr<net::Transport>> transports;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    stopping_ = true;
-    threads.swap(threads_);
-    transports.swap(owned_transports_);
-  }
-  for (auto& t : transports) t->Close();
-  for (auto& th : threads) {
-    if (th.joinable()) th.join();
-  }
 }
 
 std::size_t ShardDataServer::record_count() const {
@@ -146,87 +111,6 @@ Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
   LW_ASSIGN_OR_RETURN(std::vector<Bytes> answers,
                       AnswerBatch({key}, pool_.get()));
   return std::move(answers.front());
-}
-
-void ShardDataServer::ServeConnection(net::Transport& transport) {
-  for (;;) {
-    auto frame = transport.Receive(net::Deadline::Infinite());
-    if (!frame.ok()) return;
-    if (frame->type == static_cast<std::uint8_t>(MsgType::kBye)) return;
-    auto request = DecodeGetRequest(*frame);
-    if (!request.ok()) {
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     request.status().message());
-      return;
-    }
-    auto key = dpf::SubtreeKey::Deserialize(request->body);
-    if (!key.ok()) {
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     "malformed sub-tree key: " + key.status().message());
-      return;
-    }
-    auto answer = batcher_.Submit(std::move(*key));
-    if (!answer.ok()) {
-      SendErrorFrame(transport, answer.status().code(),
-                     answer.status().message());
-      continue;
-    }
-    if (!transport.Send(ShardReply(request->request_id, std::move(*answer)))
-             .ok()) {
-      return;
-    }
-  }
-}
-
-void ShardDataServer::ServeConnectionDetached(
-    std::unique_ptr<net::Transport> transport) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  if (stopping_) {
-    transport->Close();
-    return;
-  }
-  net::Transport* raw = transport.get();
-  owned_transports_.push_back(std::move(transport));
-  threads_.emplace_back([this, raw] { ServeConnection(*raw); });
-}
-
-Status ShardDataServer::ServeOnReactor(net::Reactor& reactor,
-                                       net::TcpListener listener) {
-  net::Reactor::Handler handler;
-  // Shard links are CDN-internal: bare GetRequest frames, no hello.
-  handler.on_frame = [this, &reactor](net::Reactor::ConnId id,
-                                      net::Frame frame) {
-    if (frame.type == static_cast<std::uint8_t>(MsgType::kBye)) {
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    auto request = DecodeGetRequest(frame);
-    if (!request.ok()) {
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       request.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    auto key = dpf::SubtreeKey::Deserialize(request->body);
-    if (!key.ok()) {
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       "malformed sub-tree key: " + key.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    // The batch worker runs this callback and queues the reply.
-    batcher_.SubmitAsync(
-        std::move(*key), [&reactor, id, request_id = request->request_id](
-                             Result<Bytes> answer, const obs::StageTimings&) {
-          if (!answer.ok()) {
-            SendErrorFrameTo(reactor, id, answer.status().code(),
-                             answer.status().message());
-            return;
-          }
-          (void)reactor.Send(id, ShardReply(request_id, std::move(*answer)));
-        });
-  };
-  return reactor.AddListener(std::move(listener), std::move(handler));
 }
 
 // ------------------------------------------------------------- fan-out
@@ -960,187 +844,30 @@ Result<Bytes> ShardFanout::Answer(const dpf::DpfKey& key) {
 
 FrontEndServer::FrontEndServer(std::uint8_t role, Bytes keyword_seed,
                                ShardFanout fanout)
-    : role_(role),
-      keyword_seed_(std::move(keyword_seed)),
-      fanout_(std::move(fanout)) {
+    : fanout_(std::move(fanout)),
+      core_({.hello = FrontEndHello(role, std::move(keyword_seed),
+                                    fanout_.topology()),
+             .parse = [this](Bytes body) -> Result<EndpointCore::Answer> {
+               auto key = dpf::DpfKey::Deserialize(body);
+               if (!key.ok()) {
+                 return ProtocolError("malformed DPF key: " +
+                                      key.status().message());
+               }
+               return EndpointCore::Answer(
+                   [this, key = std::move(*key)](EndpointCore::Done done) {
+                     // Expansion and scanning happen on the data shards, so
+                     // the front-end's trace carries decode/reply only; the
+                     // shard wait rides in total_ns.
+                     fanout_.AnswerAsync(
+                         key, [done = std::move(done)](Result<Bytes> answer) {
+                           done(std::move(answer), obs::StageTimings{});
+                         });
+                   });
+             },
+             .counters = {.requests = &obs::M().frontend_requests,
+                          .request_errors = &obs::M().frontend_request_errors,
+                          .record_traces = true}}) {
   LW_CHECK_MSG(role <= 1, "front-end role must be 0 or 1");
-}
-
-FrontEndServer::~FrontEndServer() {
-  // Snapshot-then-join (see ZltpPirServer::~ZltpPirServer).
-  std::vector<std::thread> threads;
-  std::vector<std::unique_ptr<net::Transport>> transports;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    stopping_ = true;
-    threads.swap(threads_);
-    transports.swap(owned_transports_);
-  }
-  for (auto& t : transports) t->Close();
-  for (auto& th : threads) {
-    if (th.joinable()) th.join();
-  }
-}
-
-void FrontEndServer::ServeConnection(net::Transport& transport) {
-  // Standard ZLTP hello.
-  auto frame = transport.Receive(net::Deadline::Infinite());
-  if (!frame.ok()) return;
-  if (const Status bad = CheckFrontEndHello(DecodeClientHello(*frame));
-      !bad.ok()) {
-    SendErrorFrame(transport, bad.code(), bad.message());
-    return;
-  }
-  ServerHello server_hello;
-  server_hello.mode = Mode::kTwoServerPir;
-  server_hello.server_role = role_;
-  server_hello.domain_bits =
-      static_cast<std::uint8_t>(fanout_.topology().domain_bits);
-  server_hello.record_size =
-      static_cast<std::uint32_t>(fanout_.topology().record_size);
-  server_hello.keyword_seed = keyword_seed_;
-  if (!transport.Send(Encode(server_hello)).ok()) return;
-
-  for (;;) {
-    auto next = transport.Receive(net::Deadline::Infinite());
-    if (!next.ok()) return;
-    if (next->type == static_cast<std::uint8_t>(MsgType::kBye)) return;
-    const auto req_start = obs::TraceNow();
-    obs::RequestTrace trace;
-    trace.start_unix_ms = obs::UnixMillis();
-    auto request = DecodeGetRequest(*next);
-    if (!request.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     request.status().message());
-      return;
-    }
-    auto key = dpf::DpfKey::Deserialize(request->body);
-    if (!key.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrame(transport, StatusCode::kProtocolError,
-                     "malformed DPF key: " + key.status().message());
-      return;
-    }
-    trace.stages.decode_ns = obs::ElapsedNs(req_start);
-    auto answer = fanout_.Answer(*key);
-    if (!answer.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrame(transport, answer.status().code(),
-                     answer.status().message());
-      continue;
-    }
-    GetResponse response;
-    response.request_id = request->request_id;
-    response.body = std::move(*answer);
-    const auto reply_start = obs::TraceNow();
-    const bool sent = transport.Send(Encode(response)).ok();
-    // Expansion and scanning happen on the data shards, so the front-end's
-    // trace carries decode/reply only; the shard wait rides in total_ns.
-    trace.stages.reply_ns = obs::ElapsedNs(reply_start);
-    trace.total_ns = obs::ElapsedNs(req_start);
-    obs::M().frontend_requests.Inc();
-    obs::TraceRing::Default().Record(trace);
-    if (!sent) return;
-  }
-}
-
-void FrontEndServer::ServeConnectionDetached(
-    std::unique_ptr<net::Transport> transport) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  if (stopping_) {
-    transport->Close();
-    return;
-  }
-  net::Transport* raw = transport.get();
-  owned_transports_.push_back(std::move(transport));
-  threads_.emplace_back([this, raw] { ServeConnection(*raw); });
-}
-
-Status FrontEndServer::ServeOnReactor(net::Reactor& reactor,
-                                      net::TcpListener listener) {
-  auto awaiting_hello =
-      std::make_shared<std::unordered_set<net::Reactor::ConnId>>();
-  net::Reactor::Handler handler;
-  handler.on_open = [awaiting_hello](net::Reactor::ConnId id) {
-    awaiting_hello->insert(id);
-  };
-  handler.on_close = [awaiting_hello](net::Reactor::ConnId id,
-                                      const Status&) {
-    awaiting_hello->erase(id);
-  };
-  handler.on_frame = [this, awaiting_hello, &reactor](net::Reactor::ConnId id,
-                                                      net::Frame frame) {
-    if (awaiting_hello->erase(id) > 0) {
-      if (const Status bad = CheckFrontEndHello(DecodeClientHello(frame));
-          !bad.ok()) {
-        SendErrorFrameTo(reactor, id, bad.code(), bad.message());
-        reactor.CloseAfterFlush(id);
-        return;
-      }
-      ServerHello server_hello;
-      server_hello.mode = Mode::kTwoServerPir;
-      server_hello.server_role = role_;
-      server_hello.domain_bits =
-          static_cast<std::uint8_t>(fanout_.topology().domain_bits);
-      server_hello.record_size =
-          static_cast<std::uint32_t>(fanout_.topology().record_size);
-      server_hello.keyword_seed = keyword_seed_;
-      (void)reactor.Send(id, Encode(server_hello));
-      return;
-    }
-    if (frame.type == static_cast<std::uint8_t>(MsgType::kBye)) {
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    const auto req_start = obs::TraceNow();
-    const std::uint64_t start_unix_ms = obs::UnixMillis();
-    auto request = DecodeGetRequest(frame);
-    if (!request.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       request.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    auto key = dpf::DpfKey::Deserialize(request->body);
-    if (!key.ok()) {
-      obs::M().frontend_request_errors.Inc();
-      SendErrorFrameTo(reactor, id, StatusCode::kProtocolError,
-                       "malformed DPF key: " + key.status().message());
-      reactor.CloseAfterFlush(id);
-      return;
-    }
-    const std::uint64_t decode_ns = obs::ElapsedNs(req_start);
-    // The fan-out is non-blocking: the op pipelines onto the shard links
-    // and this handler returns to the loop. The completion callback (a
-    // link reader thread or the reactor loop, depending on the link
-    // backend) queues the reply with the thread-safe reactor.Send — out of
-    // order across GETs, matched to the right client by the captured id.
-    fanout_.AnswerAsync(
-        *key, [&reactor, id, request_id = request->request_id, req_start,
-               start_unix_ms, decode_ns](Result<Bytes> answer) {
-          if (!answer.ok()) {
-            obs::M().frontend_request_errors.Inc();
-            SendErrorFrameTo(reactor, id, answer.status().code(),
-                             answer.status().message());
-            return;
-          }
-          obs::RequestTrace trace;
-          trace.start_unix_ms = start_unix_ms;
-          trace.stages.decode_ns = decode_ns;
-          GetResponse response;
-          response.request_id = request_id;
-          response.body = std::move(*answer);
-          const auto reply_start = obs::TraceNow();
-          (void)reactor.Send(id, Encode(response));
-          trace.stages.reply_ns = obs::ElapsedNs(reply_start);
-          trace.total_ns = obs::ElapsedNs(req_start);
-          obs::M().frontend_requests.Inc();
-          obs::TraceRing::Default().Record(trace);
-        });
-  };
-  return reactor.AddListener(std::move(listener), std::move(handler));
 }
 
 }  // namespace lw::zltp

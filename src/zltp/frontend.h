@@ -25,7 +25,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dpf/dpf.h"
@@ -37,6 +36,7 @@
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "zltp/batch.h"
+#include "zltp/endpoint.h"
 #include "zltp/messages.h"
 
 namespace lw::zltp {
@@ -60,7 +60,6 @@ class ShardDataServer {
   // paper §5.2). Each sub-tree key expands serially.
   ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
                   int num_threads = 1);
-  ~ShardDataServer();
 
   ShardDataServer(const ShardDataServer&) = delete;
   ShardDataServer& operator=(const ShardDataServer&) = delete;
@@ -88,17 +87,16 @@ class ShardDataServer {
   // A one-key AnswerBatch on the shard's pool (in-process use and tests).
   Result<Bytes> Answer(const dpf::SubtreeKey& key) const;
 
-  // Serves framed sub-tree queries until the peer disconnects. Each query
-  // waits for its answer before the next frame is read, so a connection's
-  // queries co-ride only with other connections'.
-  void ServeConnection(net::Transport& transport);
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
-
-  // Event-driven serving: sub-tree queries decode on the loop and queue in
-  // the shard's scheduler, so the queries that reach the shard while a
-  // pass runs share the next one (teardown order: see ZltpPirServer,
-  // server.h).
-  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener);
+  // Both drivers queue each sub-tree query in the shard's scheduler and read
+  // on, so the queries that reach the shard while a pass runs share the next
+  // one, whichever connections they came on (teardown order: see
+  // ZltpPirServer, server.h).
+  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport) {
+    core_.ServeDetached(std::move(transport));
+  }
+  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener) {
+    return core_.ServeOnReactor(reactor, std::move(listener));
+  }
 
   BatchStats batch_stats() const { return batcher_.stats(); }
 
@@ -114,13 +112,10 @@ class ShardDataServer {
   // any query arrives to hold a pass on a gate while co-riders queue.
   std::function<void()> pass_hook_;
 
-  std::mutex threads_mu_;  // snapshot-then-join discipline (see server.h)
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
-  // Last member: its worker answers from everything above, so it is
-  // constructed after and destroyed before them.
+  // Its worker answers from everything above, so it is constructed after
+  // and destroyed before them.
   BasicBatchScheduler<dpf::SubtreeKey, ShardDataServer> batcher_;
+  EndpointCore core_;  // last: its readers stop before the batcher goes
 };
 
 // Tuning for the multiplexed fan-out (ShardFanout).
@@ -193,9 +188,9 @@ class ShardFanout {
   // deadline, link failure). Many ops may be in flight at once.
   void AnswerAsync(const dpf::DpfKey& key, AnswerCallback done);
 
-  // Blocking wrapper around AnswerAsync for the threaded serve path and
-  // direct callers. Concurrent callers pipeline — there is no fan-out-wide
-  // mutex around the shard round trips.
+  // Blocking wrapper around AnswerAsync for direct callers. Concurrent
+  // callers pipeline — there is no fan-out-wide mutex around the shard
+  // round trips.
   Result<Bytes> Answer(const dpf::DpfKey& key);
 
   // The correlation table + links. Defined in frontend.cc; public only so
@@ -214,32 +209,27 @@ class ShardFanout {
 class FrontEndServer {
  public:
   FrontEndServer(std::uint8_t role, Bytes keyword_seed, ShardFanout fanout);
-  ~FrontEndServer();
 
   FrontEndServer(const FrontEndServer&) = delete;
   FrontEndServer& operator=(const FrontEndServer&) = delete;
 
-  void ServeConnection(net::Transport& transport);
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
-
-  // Event-driven serving: GETs decode on the loop and go straight into
-  // ShardFanout::AnswerAsync — the fan-out is non-blocking, so no
-  // dispatcher worker sits between decode and the shard links; replies
-  // complete out of order via the fan-out's correlation table and are sent
-  // from its completion callbacks. Teardown order: reactor.Stop() first,
-  // then destroy this server (the fan-out fails pending ops with
-  // UNAVAILABLE), then the reactor object (see ZltpPirServer, server.h).
-  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener);
+  // GETs go straight into ShardFanout::AnswerAsync on both drivers — the
+  // fan-out is non-blocking, so no dispatcher worker sits between decode
+  // and the shard links; replies complete out of order via the fan-out's
+  // correlation table and are sent from its completion callbacks. Teardown
+  // order: reactor.Stop() first, then destroy this server (the fan-out
+  // fails pending ops with UNAVAILABLE), then the reactor object (see
+  // ZltpPirServer, server.h).
+  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport) {
+    core_.ServeDetached(std::move(transport));
+  }
+  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener) {
+    return core_.ServeOnReactor(reactor, std::move(listener));
+  }
 
  private:
-  std::uint8_t role_;
-  Bytes keyword_seed_;
   ShardFanout fanout_;
-
-  std::mutex threads_mu_;  // snapshot-then-join discipline (see server.h)
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
+  EndpointCore core_;  // last: its readers stop before the fan-out goes
 };
 
 }  // namespace lw::zltp

@@ -8,19 +8,20 @@
 //
 // ZltpEnclaveServer fronts a simulated hardware enclave (paper §2.2's second
 // mode): the host merely relays opaque encrypted requests into the enclave.
+//
+// Both serve through an EndpointCore (zltp/endpoint.h), which runs the
+// connection protocol on a reactor or on any transport.
 #pragma once
 
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "net/reactor.h"
 #include "net/transport.h"
 #include "oram/enclave.h"
-#include "util/task_queue.h"
 #include "util/thread_pool.h"
 #include "zltp/batch.h"
+#include "zltp/endpoint.h"
 #include "zltp/messages.h"
 #include "zltp/store.h"
 
@@ -39,18 +40,16 @@ class ZltpPirServer {
   // `role` is 0 or 1 — which of the two non-colluding servers this is.
   ZltpPirServer(const PirStore& store, std::uint8_t role,
                 ServerOptions options = {});
-  ~ZltpPirServer();
 
   ZltpPirServer(const ZltpPirServer&) = delete;
   ZltpPirServer& operator=(const ZltpPirServer&) = delete;
 
-  // Serves one client connection until the peer says Bye or disconnects.
-  // Blocking; safe to call from many threads at once.
-  void ServeConnection(net::Transport& transport);
-
-  // Spawns a thread serving the connection; the thread (and transport) are
-  // reaped by the destructor.
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
+  // Serves one connection on its own reader and writer threads until the
+  // peer says Bye or hangs up; the destructor closes the connections still
+  // open. Pipelined requests ride the batcher together.
+  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport) {
+    core_.ServeDetached(std::move(transport));
+  }
 
   // Event-driven serving: registers `listener` on `reactor` and answers
   // every connection it accepts without a thread per connection — frames
@@ -62,52 +61,46 @@ class ZltpPirServer {
   // ShardFanout::ConnectOnReactor connections): Stop() fires on_close for
   // every outbound conn, after which the fan-out fails its pending ops and
   // its Shutdown's Close(id) calls are stale-id no-ops.
-  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener);
+  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener) {
+    return core_.ServeOnReactor(reactor, std::move(listener));
+  }
 
   BatchScheduler::Stats batch_stats() const { return batcher_.stats(); }
 
  private:
-  const PirStore& store_;
-  std::uint8_t role_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   BatchScheduler batcher_;            // after pool_: it scans on the pool
-
-  // Guards the detached-serving state below. The destructor snapshots and
-  // joins OUTSIDE this lock: a joined handler may itself be blocked on
-  // ServeConnectionDetached, so joining under the lock can deadlock.
-  std::mutex threads_mu_;
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
+  EndpointCore core_;  // last: its readers stop before the batcher goes
 };
 
 class ZltpEnclaveServer {
  public:
   explicit ZltpEnclaveServer(oram::KvEnclave& enclave);
-  ~ZltpEnclaveServer();
 
   ZltpEnclaveServer(const ZltpEnclaveServer&) = delete;
   ZltpEnclaveServer& operator=(const ZltpEnclaveServer&) = delete;
 
-  void ServeConnection(net::Transport& transport);
-  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport);
+  void ServeConnectionDetached(std::unique_ptr<net::Transport> transport) {
+    core_.ServeDetached(std::move(transport));
+  }
 
-  // Event-driven serving (same teardown order as ZltpPirServer). The
-  // enclave computes serially behind enclave_mu_, so decoded requests hop
-  // to a single dispatcher worker instead of blocking the loop.
-  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener);
+  // Event-driven serving (same teardown order as ZltpPirServer).
+  Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener) {
+    return core_.ServeOnReactor(reactor, std::move(listener));
+  }
+
+  // The enclave's scheduler answers through these. Any sealed request is
+  // admitted; the enclave itself rejects what it cannot open.
+  Status CheckKey(const Bytes& sealed_request) const;
+  Result<std::vector<Bytes>> AnswerBatch(const std::vector<Bytes>& requests,
+                                         ThreadPool* pool) const;
 
  private:
   oram::KvEnclave& enclave_;
-  std::mutex enclave_mu_;  // the enclave processes one request at a time
-
-  std::mutex threads_mu_;  // same snapshot-then-join discipline as above
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<net::Transport>> owned_transports_;
-  // Reactor-mode dispatcher (created on first ServeOnReactor). Declared
-  // last so its destructor joins before the rest of the server goes away.
-  std::unique_ptr<TaskQueue> dispatch_;
+  // The enclave's serial executor, off the loop: one rider per batch, so
+  // requests run one at a time in arrival order.
+  BasicBatchScheduler<Bytes, ZltpEnclaveServer> batcher_;
+  EndpointCore core_;  // last: its readers stop before the batcher goes
 };
 
 }  // namespace lw::zltp

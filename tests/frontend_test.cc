@@ -390,10 +390,47 @@ TEST(ShardBatching, ReactorCoRidersShareOnePassAndWrongDepthFailsAlone) {
   reactor.Stop();
 }
 
+// The same sequence over one in-memory pair served by the transport pump:
+// its reader queues each query and reads on, as the reactor's loop does.
+TEST(ShardBatching, PumpedCoRidersShareOnePassAndWrongDepthFailsAlone) {
+  GatedShard g;
+  net::TransportPair pair = net::CreateInMemoryPair();
+  g.shard.ServeConnectionDetached(std::move(pair.b));
+  net::Transport& client = *pair.a;
+
+  std::vector<dpf::SubtreeKey> keys;
+  for (int i = 0; i <= kCoRiders; ++i) keys.push_back(g.Key(4 * i + 8));
+  ASSERT_TRUE(client.Send(SubtreeRequest(0, keys[0])).ok());
+  ASSERT_TRUE(g.gate->WaitForArrival(std::chrono::seconds(30)));
+
+  for (int i = 1; i <= kCoRiders; ++i) {
+    ASSERT_TRUE(client
+                    .Send(SubtreeRequest(static_cast<std::uint32_t>(i),
+                                         keys[static_cast<std::size_t>(i)]))
+                    .ok());
+  }
+  ASSERT_TRUE(client.Send(SubtreeRequest(99, g.WrongDepthKey())).ok());
+  ExpectProtocolError(client);
+  BatchStats stats = g.shard.batch_stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCoRiders + 1));
+
+  g.gate->Open();
+  std::map<std::uint32_t, Bytes> answers;
+  for (int i = 0; i <= kCoRiders; ++i) ReceiveAnswer(client, answers);
+  ASSERT_EQ(answers.size(), keys.size());
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(answers[i], g.shard.Answer(keys[i]).value()) << "query " << i;
+  }
+  stats = g.shard.batch_stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCoRiders + 1));
+}
+
 TEST(ShardBatching, ThreadedCoRidersAnsweredAndWrongDepthFailsAlone) {
   GatedShard g;
-  // The threaded driver reads a connection's next frame only once its
-  // last query is answered, so every co-rider gets its own connection.
+  // Every co-rider gets its own pumped connection here, so the queries
+  // that share the pass come from different connections.
   std::vector<std::unique_ptr<net::Transport>> clients;
   for (int i = 0; i <= kCoRiders + 1; ++i) {
     net::TransportPair pair = net::CreateInMemoryPair();

@@ -610,7 +610,8 @@ TEST(Reactor, PirRepliesMatchThreadedServing) {
     auto c0 = TcpConnect("127.0.0.1", p0);
     auto c1 = TcpConnect("127.0.0.1", p1);
     EXPECT_TRUE(c0.ok() && c1.ok());
-    return zltp::PirSession::Establish(std::move(*c0), std::move(*c1));
+    return zltp::PirSession::Establish(zltp::EstablishOptions::FromTransports(
+        std::move(*c0), std::move(*c1)));
   };
   auto threaded = connect_session(t_listener0->bound_port(),
                                   t_listener1->bound_port());

@@ -365,25 +365,6 @@ TEST(SessionRetryTest, TrafficSinkAggregatesAcrossSessions) {
   EXPECT_GT(sink.bytes_received, 0u);
 }
 
-// --------------------------------------------------------- deprecations
-
-TEST(SessionRetryTest, DeprecatedPositionalEstablishStillWorks) {
-  TwoServers servers;
-  ASSERT_TRUE(servers.store.Publish("k", ToBytes("v")).ok());
-  net::TransportPair p0 = net::CreateInMemoryPair();
-  net::TransportPair p1 = net::CreateInMemoryPair();
-  servers.server0.ServeConnectionDetached(std::move(p0.b));
-  servers.server1.ServeConnectionDetached(std::move(p1.b));
-
-  auto session =
-      zltp::PirSession::Establish(std::move(p0.a), std::move(p1.a));
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  auto value = session->PrivateGet("k");
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(ToString(*value), "v");
-  session->Close();
-}
-
 // ------------------------------------------------------------- enclave
 
 TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {

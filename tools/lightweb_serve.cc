@@ -29,7 +29,9 @@
 //   --serve-mode=reactor   one epoll loop multiplexes all four endpoints;
 //                          complete frames hand off to the batch scheduler
 //                          (default)
-//   --serve-mode=threaded  one blocking thread per connection (the A/B
+//   --serve-mode=threaded  a blocking accept loop per endpoint; each
+//                          connection runs on a reader and a writer thread
+//                          (the endpoint core's transport pump, the A/B
 //                          baseline the reactor is benchmarked against)
 //
 // Batching / data-plane knobs (docs/PERFORMANCE.md):
@@ -150,7 +152,8 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-// Accept loop: every connection gets a detached server thread.
+// Accept loop: the server pumps every accepted connection on its own
+// threads.
 void AcceptLoop(net::TcpListener listener, zltp::ZltpPirServer& server,
                 const char* label) {
   std::printf("listening on 127.0.0.1:%u (%s)\n", listener.bound_port(),
