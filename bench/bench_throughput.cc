@@ -553,6 +553,14 @@ bool WriteJson(const std::string& path, const ThroughputParams& params,
   return true;
 }
 
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--smoke] [--threads=N] [--json=PATH]\n"
+               "         [--clients=N] [--requests=N] [--conns=N]\n",
+               argv0);
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   BenchFlags flags = ParseBenchFlags(&argc, argv);
   ThroughputParams params;
@@ -567,6 +575,11 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--conns=", 0) == 0) {
       params.high_conns = std::atoi(arg.c_str() + std::strlen("--conns="));
       LW_CHECK(params.high_conns >= 2);
+    } else {
+      // Before any store is built: a mistyped flag (or --help) must not
+      // run the full benchmark and overwrite the JSON.
+      std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
+      return Usage(argv[0]);
     }
   }
   // The high-connection scenario needs client+server fds in one process;

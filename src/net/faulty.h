@@ -18,7 +18,7 @@
 //
 // GatedCloseTransport does the same for races: whoever closes the
 // transport stops at the gate, so a test can act inside the window between
-// a link dropping its stream and the link's next step, without sleeps.
+// a stream's end and the close reaching its owner, without sleeps.
 //
 // All decorators are thread-safe to the same degree as the inner transport
 // (counters are atomic; RecordingTransport's log is mutex-guarded).

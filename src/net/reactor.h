@@ -28,22 +28,23 @@
 // injectable lw::Clock each iteration, so FakeClock tests drive expiry
 // deterministically via Advance() + Wakeup() with zero real waiting.
 //
-// The ZLTP endpoint core (zltp/endpoint.h) binds its protocol to this
-// reactor; its other driver pumps blocking net::Transports (tcp.h) for
-// --serve-mode=threaded and in-process links.
+// The reactor is one of two hosts of the Connections API (net/connections.h);
+// the other, net::TransportPump (net/pump.h), drives blocking
+// net::Transports for --serve-mode=threaded and in-process links. The ZLTP
+// endpoint core and the shard fan-out run one handler over either.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "net/connections.h"
 #include "net/tcp.h"
 #include "net/transport.h"
 #include "util/clock.h"
@@ -51,24 +52,9 @@
 
 namespace lw::net {
 
-class Reactor {
+// Every Handler callback runs on the loop thread.
+class Reactor final : public Connections {
  public:
-  // Identifies one accepted connection for the lifetime of the reactor.
-  // Ids are never reused, so a stale id after a close is a harmless no-op,
-  // never a message to the wrong peer.
-  using ConnId = std::uint64_t;
-
-  // Per-listener callbacks. All three run on the loop thread.
-  struct Handler {
-    // A connection was accepted and registered.
-    std::function<void(ConnId)> on_open;
-    // One complete frame arrived. Must not block (see file comment).
-    std::function<void(ConnId, Frame)> on_frame;
-    // The connection is gone (peer close, protocol error, timer expiry, or
-    // an explicit close); the id is dead after this returns.
-    std::function<void(ConnId, const Status&)> on_close;
-  };
-
   struct Options {
     // Time source for the idle/write-stall timers. null = Clock::Real().
     Clock* clock = nullptr;
@@ -120,19 +106,15 @@ class Reactor {
   // Blocks until Stop() is called (serving mains park here).
   void Join();
 
-  // Queues one frame for `id` and wakes the loop to flush it. Thread-safe;
-  // callable from handlers and from compute threads. UNAVAILABLE if the
-  // connection is gone or closing; RESOURCE_EXHAUSTED if the send queue is
-  // over max_send_queue_bytes (the connection is then closed).
-  Status Send(ConnId id, const Frame& frame);
+  // Queues one frame for `id` and wakes the loop to flush it.
+  // RESOURCE_EXHAUSTED if the send queue is over max_send_queue_bytes (the
+  // connection is then closed).
+  Status Send(ConnId id, const Frame& frame) override;
 
-  // Immediate close: drops queued writes, fires on_close from the loop.
-  void Close(ConnId id);
+  // on_close fires from the loop.
+  void Close(ConnId id) override;
 
-  // Graceful close: stops reading, flushes the send queue, then closes.
-  // The ZLTP "error frame then hang up" and Bye paths need this — an
-  // immediate close would race the reply out of existence.
-  void CloseAfterFlush(ConnId id);
+  void CloseAfterFlush(ConnId id) override;
 
   // Open (accepted, not yet closed) connections.
   std::size_t connection_count() const;

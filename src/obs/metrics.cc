@@ -166,7 +166,7 @@ Metrics& M() {
           "frames"),
       Registry::Default().AddCounter(
           "lw_fanout_redials_total",
-          "shard links closed and re-dialed after a failure or desync",
+          "dials an op made on finding its shard link down",
           "redials"),
       Registry::Default().AddCounter(
           "lw_fanout_deadline_expired_total",

@@ -14,29 +14,26 @@
 //             frame and the connection keeps serving
 //   telemetry the endpoint's counters and its RequestTrace
 //
-// Two drivers feed it frames:
+// Two drivers feed it frames, both through one net::Connections handler:
 //
 //   ServeOnReactor  TCP listeners on a net::Reactor: frames decode on the
 //                   loop and replies queue with Reactor::Send.
 //   ServeDetached   any net::Transport (in-memory pairs, the net/faulty.h
-//                   decorators, lightweb_serve --serve-mode=threaded): a
-//                   reader thread per connection, and a writer thread that
-//                   drains the connection's reply queue, so a completion
-//                   callback never blocks on the peer. A connection that
-//                   ends is closed and its transport freed at once.
+//                   decorators, lightweb_serve --serve-mode=threaded) on the
+//                   core's net::TransportPump (net/pump.h): a reader and a
+//                   writer thread per connection, so a completion callback
+//                   never blocks on the peer.
 //
 // Both drivers hand every request to the answer call without waiting for
 // it, so one connection's pipelined requests co-ride a batch on either.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
-#include <unordered_map>
 
+#include "net/connections.h"
+#include "net/pump.h"
 #include "net/reactor.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -78,9 +75,9 @@ class EndpointCore {
   };
 
   explicit EndpointCore(Spec spec);
-  // Closes every pumped connection and joins its threads. Answers still in
-  // flight complete into closed connections, so the answer calls may
-  // outlive the core.
+  // Stops the pump: closes every pumped connection and joins its threads.
+  // Answers still in flight complete into closed connections, so the
+  // answer calls may outlive the core.
   ~EndpointCore();
 
   EndpointCore(const EndpointCore&) = delete;
@@ -97,24 +94,18 @@ class EndpointCore {
   void ServeDetached(std::unique_ptr<net::Transport> transport);
 
  private:
-  class Conn;
-  class ReactorConn;
-  class PumpConn;
+  struct Conn;
 
-  void Opened(Conn& conn) const;
-  void Closed() const;
-  // Handles one frame; false once the connection hangs up.
-  bool OnFrame(const std::shared_ptr<Conn>& conn, net::Frame frame) const;
-  void Pump(const std::shared_ptr<PumpConn>& conn) const;
+  // The one handler both drivers run; `conns` is the reactor or the pump.
+  net::Connections::Handler MakeHandler(
+      std::shared_ptr<net::Connections> conns) const;
+  void OnFrame(Conn& conn, net::Frame frame) const;
 
   const Spec spec_;
-
-  std::mutex pump_mu_;  // guards the pump state below
-  std::condition_variable pump_cv_;
-  bool stopping_ = false;  // set by the destructor: serve nothing more
-  // Each pumped connection still being read, and its reader thread.
-  std::unordered_map<PumpConn*, std::thread> readers_;
-  std::thread ended_;  // the reader that ended last, not yet joined
+  // Shared with the answers in flight on pumped connections, which may
+  // complete after the core is gone; the destructor stops it first.
+  const std::shared_ptr<net::TransportPump> pump_;
+  const net::Connections::Handler pumped_;  // every pumped connection's
 };
 
 }  // namespace lw::zltp

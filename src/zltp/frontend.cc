@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
 
+#include "net/pump.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -129,8 +129,8 @@ Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
 //                             id, so the next request is not poisoned.
 //   transport error / shard   the stream is desynced (error frames carry
 //   error frame               no request id): every op awaiting the link
-//                             fails, the link closes and — with a redial
-//                             factory — a fresh connection is dialed.
+//                             fails and the link drops the connection; the
+//                             next op that needs the link dials a fresh one.
 //   per-op deadline           the expiry sweeper fails the op with
 //                             DEADLINE_EXCEEDED; a reply that limps in
 //                             later is a stale drop.
@@ -151,13 +151,136 @@ class ShardFanout::Mux {
     std::chrono::nanoseconds start{};
   };
 
-  // One shard link. Enqueue never blocks the caller; failures are routed
-  // back through FailOp/OnLinkDown.
+  // One shard link: the shard's current connection, on a reactor or on the
+  // fan-out's transport pump, and the dial that replaces it. Enqueue never
+  // blocks the caller; failures are routed back through FailOp/OnLinkDown.
+  // A link-level failure drops the connection, and the next op that finds
+  // the link down dials a fresh one: at most one dial per op, so a dead
+  // shard costs each op one failed dial, never a reconnect storm. Without
+  // a redial, a link that is down stays down and its ops fail fast.
   class Link {
    public:
-    virtual ~Link() = default;
-    virtual void Enqueue(std::uint32_t op_id, net::Frame frame) = 0;
-    virtual void Shutdown() = 0;
+    using ConnId = net::Connections::ConnId;
+    // Starts a connection that calls back into `handler`.
+    using DialFn = std::function<Result<ConnId>(net::Connections::Handler)>;
+
+    Link(Mux* mux, std::size_t index, net::Connections& conns, DialFn redial)
+        : mux_(mux), index_(index), conns_(conns), redial_(std::move(redial)) {}
+
+    ~Link() { Shutdown(); }
+
+    // Makes the connection `dial` starts the link's connection.
+    Status Dial(const DialFn& dial) {
+      net::Connections::Handler handler;
+      handler.on_frame = [this](ConnId id, net::Frame frame) {
+        const Status s = mux_->OnReply(index_, frame);
+        // Desynced stream (uncorrelatable shard error frame): fail the ops
+        // sent on it and drop the connection.
+        if (!s.ok()) Drop(id, s);
+      };
+      handler.on_close = [this](ConnId id, const Status& why) {
+        // A no-op if the connection was dropped already (Shutdown, the
+        // error paths).
+        Drop(id, why.ok() ? UnavailableError("shard link closed") : why);
+        std::lock_guard<std::mutex> lock(mu_);
+        --pending_closes_;
+        closed_cv_.notify_all();
+      };
+      // Held across the dial: the connection's callbacks take mu_, so even
+      // an on_close that fires before the dial returns finds it stored.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) return UnavailableError("shard link shut down");
+      LW_ASSIGN_OR_RETURN(conn_, dial(std::move(handler)));
+      ++pending_closes_;
+      return Status::Ok();
+    }
+
+    void Enqueue(std::uint32_t op_id, const net::Frame& frame) {
+      // dial_mu_ serializes redials: two concurrent ops hitting a downed
+      // link get one fresh connection, not one each. Never taken by the
+      // connection callbacks, so it cannot deadlock against them.
+      std::lock_guard<std::mutex> dial_lock(dial_mu_);
+      for (bool dialed = false;; dialed = true) {
+        ConnId conn = 0;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          conn = conn_;
+          if (conn != 0) mux_->MarkQueued(op_id, index_, generation_);
+        }
+        if (conn != 0) {
+          const Status sent = conns_.Send(conn, frame);
+          if (sent.ok()) return;
+          // The connection ended before its close reached this link. The
+          // op never went out on it, so it waits for the next connection
+          // instead of failing with the ops that did.
+          mux_->MarkQueued(op_id, index_, 0);
+          Drop(conn, sent);
+          if (dialed || !redial_) {
+            mux_->FailOp(op_id, index_, sent);
+            return;
+          }
+        } else if (dialed || !redial_) {
+          mux_->FailOp(op_id, index_, UnavailableError("shard link down"));
+          return;
+        }
+        const Status redialed = Dial(redial_);
+        if (!redialed.ok()) {
+          mux_->FailOp(op_id, index_, redialed);
+          return;
+        }
+        obs::M().fanout_redials.Inc();
+      }
+    }
+
+    void Shutdown() {
+      ConnId conn = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (stopping_) return;
+        stopping_ = true;
+        conn = std::exchange(conn_, 0);
+      }
+      // Safe even after reactor.Stop(): a stale id is a no-op.
+      if (conn != 0) conns_.Close(conn);
+      // Wait for every dialled connection's on_close (the documented
+      // teardown order guarantees it comes: either the reactor was already
+      // stopped, which drained all conns, or the Close above reaches its
+      // host). After this, no callback can touch this link or the mux.
+      std::unique_lock<std::mutex> lock(mu_);
+      closed_cv_.wait(lock, [this] { return pending_closes_ == 0; });
+    }
+
+   private:
+    // Drops `id` if it is still the link's connection: ends its generation,
+    // so every op queued under it fails with `why`, and closes it (a no-op
+    // for a connection already closing).
+    void Drop(ConnId id, const Status& why) {
+      std::uint64_t dead = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (conn_ != id) return;
+        conn_ = 0;
+        dead = generation_++;
+      }
+      mux_->OnLinkDown(index_, dead, why);
+      conns_.Close(id);
+    }
+
+    Mux* const mux_;
+    const std::size_t index_;
+    net::Connections& conns_;
+    const DialFn redial_;  // null: no redial
+
+    std::mutex dial_mu_;  // held across an Enqueue's dial; taken before mu_
+    std::mutex mu_;       // guards the members below
+    ConnId conn_ = 0;     // 0: the link is down
+    // conn_'s generation; Drop ends it. Ops are marked with the generation
+    // they were queued under, so a drop fails only its own.
+    std::uint64_t generation_ = 1;
+    // Dials whose on_close has not yet been delivered; Shutdown waits for 0.
+    int pending_closes_ = 0;
+    std::condition_variable closed_cv_;
+    bool stopping_ = false;
   };
 
   Mux(const ShardTopology& topology, FanoutOptions options)
@@ -170,12 +293,14 @@ class ShardFanout::Mux {
   ~Mux() { Shutdown(); }
 
   const ShardTopology& topology() const { return topology_; }
-  Clock* clock() const { return clock_; }
-  const FanoutOptions& options() const { return options_; }
 
-  // Called once per shard, in shard order, before Seal().
-  void AddLink(std::unique_ptr<Link> link) {
-    links_.push_back(std::move(link));
+  // Adds the next shard's link on `conns`, whose first connection `first`
+  // starts. Called once per shard, in shard order, before Seal().
+  Status AddLink(net::Connections& conns, Link::DialFn redial,
+                 const Link::DialFn& first) {
+    links_.push_back(
+        std::make_unique<Link>(this, links_.size(), conns, std::move(redial)));
+    return links_.back()->Dial(first);
   }
 
   // Links are complete; start the expiry sweeper if ops carry deadlines.
@@ -301,9 +426,10 @@ class ShardFanout::Mux {
   }
 
   // Link `link` queued op `op_id` for its stream of generation `gen`
-  // (generations start at 1 and rise each time the link drops a stream).
-  // Links call this under their own lock, in the same critical section
-  // that reads the generation, so a reset cannot slip between the two.
+  // (generations start at 1 and rise each time the link drops a stream;
+  // 0 takes back a queueing whose send failed). Links call this under their
+  // own lock, in the same critical section that reads the generation, so a
+  // reset cannot slip between the two.
   void MarkQueued(std::uint32_t op_id, std::size_t link, std::uint64_t gen) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = ops_.find(op_id);
@@ -334,10 +460,8 @@ class ShardFanout::Mux {
     }
   }
 
-  net::TransportFactory redial_factory(std::size_t link) const {
-    if (link < options_.redial.size()) return options_.redial[link];
-    return nullptr;
-  }
+  // Carries the links of a fan-out built from transports.
+  net::TransportPump& pump() { return pump_; }
 
   // Stops the sweeper and every link, then completes whatever is left.
   // Idempotent; called by ~Mux and usable for explicit teardown.
@@ -425,371 +549,37 @@ class ShardFanout::Mux {
   std::uint32_t next_id_ = 1;
   bool stopping_ = false;
 
+  net::TransportPump pump_;  // outlives the links, whose connections it runs
   std::vector<std::unique_ptr<Link>> links_;
   std::thread expiry_;
 };
-
-namespace {
-
-// Threaded shard link over a net::Transport: a writer thread drains an
-// outbox (so AnswerAsync never blocks on a slow send) and a reader thread
-// demultiplexes replies into the correlation table. Composes with the
-// net/faulty.h decorators and the in-memory pair; a redial factory makes
-// the link self-healing after a failure.
-class TransportLink final : public ShardFanout::Mux::Link {
- public:
-  TransportLink(ShardFanout::Mux* mux, std::size_t index,
-                std::unique_ptr<net::Transport> transport,
-                net::TransportFactory redial)
-      : mux_(mux),
-        index_(index),
-        redial_(std::move(redial)),
-        transport_(std::move(transport)) {
-    reader_ = std::thread([this] { ReaderLoop(); });
-    writer_ = std::thread([this] { WriterLoop(); });
-  }
-
-  ~TransportLink() override { Shutdown(); }
-
-  void Enqueue(std::uint32_t op_id, net::Frame frame) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // A null transport while a redial is in flight: queue, and the writer
-      // picks the frame up once the new stream is installed (the op
-      // deadline bounds the wait either way).
-      if (!stopping_ && (transport_ != nullptr || redialing_)) {
-        mux_->MarkQueued(op_id, index_, generation_);
-        outbox_.push_back({op_id, std::move(frame)});
-        cv_.notify_all();
-        return;
-      }
-    }
-    // Link permanently down (dead with no redial factory or a failed
-    // redial, or shut down): fail fast rather than queueing against a
-    // shard that cannot answer.
-    mux_->FailOp(op_id, index_,
-                 UnavailableError(stopped() ? "shard link shut down"
-                                            : "shard link down"));
-  }
-
-  void Shutdown() override {
-    std::shared_ptr<net::Transport> t;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-      t = transport_;
-    }
-    cv_.notify_all();
-    if (t != nullptr) t->Close();  // unblocks the reader's Receive
-    if (writer_.joinable()) writer_.join();
-    if (reader_.joinable()) reader_.join();
-  }
-
- private:
-  bool stopped() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopping_;
-  }
-
-  void ReaderLoop() {
-    for (;;) {
-      std::shared_ptr<net::Transport> t;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock,
-                 [this] { return stopping_ || transport_ != nullptr; });
-        if (stopping_) return;
-        t = transport_;
-      }
-      // Demultiplexer receive: per-op deadlines are enforced by the mux's
-      // expiry sweeper against the pending table, so this wait is
-      // intentionally unbounded — a dead shard fails its ops fast via the
-      // sweeper, and a reply that arrives after that is dropped by id,
-      // never misattributed. Shutdown/Reset close the transport to
-      // unblock this thread.
-      auto frame = t->Receive(net::Deadline::Infinite());
-      if (!frame.ok()) {
-        Reset(t, frame.status());
-        continue;
-      }
-      const Status s = mux_->OnReply(index_, *frame);
-      if (!s.ok()) Reset(t, s);
-    }
-  }
-
-  void WriterLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      // Waits out a redial too: frames stay queued until a transport
-      // exists to carry them.
-      cv_.wait(lock, [this] {
-        return stopping_ || (!outbox_.empty() && transport_ != nullptr);
-      });
-      if (stopping_) return;
-      auto [op_id, frame] = std::move(outbox_.front());
-      outbox_.pop_front();
-      std::shared_ptr<net::Transport> t = transport_;
-      lock.unlock();
-      // The op deadline (sweeper) bounds the caller; a send wedged past
-      // it keeps only this writer busy, and Shutdown's Close unblocks it.
-      const Status s = t->Send(frame, net::Deadline::Infinite());
-      if (!s.ok()) {
-        // A failed send may leave the stream mid-frame: reset the link
-        // first, so that an op admitted once this one's caller learns of
-        // the failure queues for the fresh stream instead of being cleared
-        // and failed along with the dead one.
-        Reset(t, s);
-        // The op cannot complete (this shard never saw its sub-query) —
-        // fail it directly rather than relying on Reset's OnLinkDown,
-        // which no-ops if another thread already swapped the transport.
-        // Replies other shards already owe the op become stale drops.
-        mux_->FailOp(op_id, index_, s);
-      }
-      lock.lock();
-    }
-  }
-
-  // Drops `failed` (if still current) and ends its generation: every op
-  // queued under it fails, while an op queued from here on waits for the
-  // replacement a factory dials. Reader and writer both funnel here;
-  // whichever loses the race becomes a no-op.
-  void Reset(const std::shared_ptr<net::Transport>& failed,
-             const Status& why) {
-    std::uint64_t dead = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_ || transport_ != failed) return;
-      transport_.reset();
-      // Queued frames belong to ops the OnLinkDown below is about to fail;
-      // sending them on a fresh stream would only produce stale replies.
-      outbox_.clear();
-      dead = generation_++;
-      redialing_ = static_cast<bool>(redial_);
-    }
-    failed->Close();
-    mux_->OnLinkDown(index_, dead, why);
-    if (!redial_) return;
-    auto fresh = redial_();
-    std::unique_lock<std::mutex> lock(mu_);
-    redialing_ = false;
-    if (!fresh.ok()) {
-      // The link stays down: ops queued for the redial fail with its
-      // error, and later ones fail fast in Enqueue.
-      outbox_.clear();
-      dead = generation_++;
-      lock.unlock();
-      mux_->OnLinkDown(index_, dead, fresh.status());
-      return;
-    }
-    obs::M().fanout_redials.Inc();
-    if (stopping_) {
-      (*fresh)->Close();
-      return;
-    }
-    transport_ = std::move(*fresh);
-    cv_.notify_all();  // wake the reader onto the new stream
-  }
-
-  ShardFanout::Mux* mux_;
-  const std::size_t index_;
-  const net::TransportFactory redial_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  // shared_ptr: reader and writer use the transport outside the lock while
-  // Reset swaps it; the failed instance stays alive until both let go.
-  std::shared_ptr<net::Transport> transport_;
-  std::deque<std::pair<std::uint32_t, net::Frame>> outbox_;
-  // The current stream's generation; Reset ends it. Ops are marked with
-  // the generation they were queued under, so a reset fails only its own.
-  std::uint64_t generation_ = 1;
-  bool redialing_ = false;  // a Reset is dialing a replacement stream
-  bool stopping_ = false;
-
-  std::thread reader_;
-  std::thread writer_;
-};
-
-// Reactor-backed shard link: the outbound connection lives on the reactor
-// loop (net::Reactor::Connect), sends are queue pushes, and replies arrive
-// as on_frame callbacks — no per-link threads at all. A link-level failure
-// closes the connection; the next op re-dials on demand (no reconnect
-// storm against a down shard: at most one dial per op).
-class ReactorLink final : public ShardFanout::Mux::Link {
- public:
-  ReactorLink(ShardFanout::Mux* mux, std::size_t index,
-              net::Reactor& reactor, std::string host, std::uint16_t port)
-      : mux_(mux),
-        index_(index),
-        reactor_(reactor),
-        host_(std::move(host)),
-        port_(port) {}
-
-  ~ReactorLink() override { Shutdown(); }
-
-  Status Dial() {
-    net::Reactor::Handler handler;
-    handler.on_frame = [this](net::Reactor::ConnId id, net::Frame frame) {
-      const Status s = mux_->OnReply(index_, std::move(frame));
-      if (!s.ok()) {
-        // Desynced stream (uncorrelatable shard error frame): fail the
-        // ops sent on it and drop the connection; the next op re-dials.
-        std::uint64_t dead = 0;
-        if (Forget(id, &dead)) mux_->OnLinkDown(index_, dead, s);
-        reactor_.Close(id);
-      }
-    };
-    handler.on_close = [this](net::Reactor::ConnId id, const Status& why) {
-      // Forget() false: Shutdown or the on_frame error path already
-      // disowned this conn, or the dial lost so quickly that Dial() has
-      // not stored the id yet (recorded so Dial does not adopt a corpse).
-      std::uint64_t dead = 0;
-      if (Forget(id, &dead)) {
-        mux_->OnLinkDown(
-            index_, dead,
-            why.ok() ? UnavailableError("shard link closed") : why);
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      early_closed_.push_back(id);
-      --pending_closes_;
-      closed_cv_.notify_all();
-    };
-    {
-      // Count the close before Connect: on_close may fire (loop thread)
-      // before Connect even returns here. Stale early-close records from
-      // prior dials are irrelevant to the fresh id about to be minted.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++pending_closes_;
-      early_closed_.clear();
-    }
-    auto id = reactor_.Connect(host_, port_, std::move(handler));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!id.ok()) {
-      --pending_closes_;  // never registered; no on_close will come
-      return id.status();
-    }
-    if (std::find(early_closed_.begin(), early_closed_.end(), *id) !=
-        early_closed_.end()) {
-      // Refused before we got to store the id: the link stays down and the
-      // next op re-dials.
-      early_closed_.clear();
-      return UnavailableError("shard connection closed during dial");
-    }
-    conn_ = *id;
-    return Status::Ok();
-  }
-
-  void Enqueue(std::uint32_t op_id, net::Frame frame) override {
-    net::Reactor::ConnId conn = 0;
-    {
-      // dial_mu_ serializes redials: two concurrent ops hitting a downed
-      // link get one fresh connection, not one each. Never taken by the
-      // loop-thread callbacks, so it cannot deadlock against them.
-      std::lock_guard<std::mutex> dial_lock(dial_mu_);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) {
-          conn = 0;
-        } else {
-          conn = conn_;
-          if (conn != 0) mux_->MarkQueued(op_id, index_, generation_);
-        }
-      }
-      if (conn == 0) {
-        if (stopped()) {
-          mux_->FailOp(op_id, index_,
-                       UnavailableError("shard link shut down"));
-          return;
-        }
-        // Redial on demand: at most one dial per op against a down shard,
-        // so a dead peer costs each request one failed connect, never a
-        // reconnect storm.
-        const Status dialed = Dial();
-        if (!dialed.ok()) {
-          mux_->FailOp(op_id, index_, dialed);
-          return;
-        }
-        obs::M().fanout_redials.Inc();
-        std::lock_guard<std::mutex> lock(mu_);
-        conn = conn_;
-        mux_->MarkQueued(op_id, index_, generation_);
-      }
-    }
-    const Status sent = reactor_.Send(conn, frame);
-    if (!sent.ok()) mux_->FailOp(op_id, index_, sent);
-  }
-
-  void Shutdown() override {
-    net::Reactor::ConnId conn = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-      conn = conn_;
-      conn_ = 0;
-    }
-    // Safe even after reactor.Stop(): a stale id is a no-op (reactor.h).
-    if (conn != 0) reactor_.Close(conn);
-    // Wait for every dialed connection's on_close to be delivered (the
-    // documented teardown order guarantees it comes: either the reactor
-    // was already stopped, which drained all conns, or it is running and
-    // the Close above reaches the loop). After this, no loop callback can
-    // touch this link or the mux again — destruction is safe.
-    std::unique_lock<std::mutex> lock(mu_);
-    closed_cv_.wait(lock, [this] { return pending_closes_ == 0; });
-  }
-
- private:
-  bool stopped() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopping_;
-  }
-
-  // Clears conn_ if it still names `id` and ends its generation, stored
-  // in *dead; false means this close was already handled (Shutdown or a
-  // newer dial took over), or the id was never stored (the dial lost
-  // instantly).
-  bool Forget(net::Reactor::ConnId id, std::uint64_t* dead) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (conn_ != id) return false;
-    conn_ = 0;
-    *dead = generation_++;
-    return true;
-  }
-
-  ShardFanout::Mux* mux_;
-  const std::size_t index_;
-  net::Reactor& reactor_;
-  const std::string host_;
-  const std::uint16_t port_;
-
-  std::mutex dial_mu_;  // held across Dial(); taken before mu_
-  std::mutex mu_;
-  net::Reactor::ConnId conn_ = 0;
-  // conn_'s generation; Forget ends it, as TransportLink's Reset does.
-  std::uint64_t generation_ = 1;
-  // Dials whose on_close has not yet been delivered; Shutdown waits for 0.
-  int pending_closes_ = 0;
-  std::condition_variable closed_cv_;
-  // Conn ids whose on_close beat Dial()'s store of the id (instant refuse).
-  std::vector<net::Reactor::ConnId> early_closed_;
-  bool stopping_ = false;
-};
-
-}  // namespace
 
 ShardFanout::ShardFanout(std::unique_ptr<Mux> mux) : mux_(std::move(mux)) {}
 
 ShardFanout::ShardFanout(const ShardTopology& topology,
                          std::vector<std::unique_ptr<net::Transport>> links,
                          FanoutOptions options)
-    : mux_(std::make_unique<Mux>(topology, std::move(options))) {
+    : mux_(std::make_unique<Mux>(topology, options)) {
   LW_CHECK_MSG(links.size() == topology.shard_count(),
                "need one transport per shard");
+  net::TransportPump* pump = &mux_->pump();
   for (std::size_t s = 0; s < links.size(); ++s) {
-    mux_->AddLink(std::make_unique<TransportLink>(
-        mux_.get(), s, std::move(links[s]), mux_->redial_factory(s)));
+    Mux::Link::DialFn redial;
+    if (s < options.redial.size() && options.redial[s]) {
+      redial = [pump, factory = options.redial[s]](
+                   net::Connections::Handler handler) {
+        return Result<net::Connections::ConnId>(
+            pump->Connect(factory, std::move(handler)));
+      };
+    }
+    // The given transport is the link's first connection; adopting it
+    // cannot fail.
+    (void)mux_->AddLink(
+        *pump, std::move(redial),
+        [pump, &links, s](net::Connections::Handler handler) {
+          return Result<net::Connections::ConnId>(
+              pump->Adopt(std::move(links[s]), std::move(handler)));
+        });
   }
   mux_->Seal();
 }
@@ -802,10 +592,11 @@ Result<ShardFanout> ShardFanout::ConnectOnReactor(
   }
   auto mux = std::make_unique<Mux>(topology, std::move(options));
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    auto link = std::make_unique<ReactorLink>(
-        mux.get(), s, reactor, std::move(shards[s].host), shards[s].port);
-    LW_RETURN_IF_ERROR(link->Dial());
-    mux->AddLink(std::move(link));
+    Mux::Link::DialFn dial = [&reactor, shard = std::move(shards[s])](
+                                 net::Connections::Handler handler) {
+      return reactor.Connect(shard.host, shard.port, std::move(handler));
+    };
+    LW_RETURN_IF_ERROR(mux->AddLink(reactor, dial, dial));
   }
   mux->Seal();
   return ShardFanout(std::move(mux));

@@ -128,12 +128,13 @@ struct FanoutOptions {
   // Time source for op deadlines. null = Clock::Real().
   Clock* clock = nullptr;
   // Optional per-shard redial factories, in shard order (empty, or one per
-  // shard). After a link-level failure — transport error, or a shard error
-  // frame, which carries no request id and so poisons the stream's only
-  // remaining correlation — the fan-out closes the link and dials a fresh
-  // one instead of trying to resynchronize a stream it no longer trusts.
-  // Without a factory a failed link stays down and ops touching it fail
-  // fast with the link's error.
+  // shard), for a fan-out built from transports. After a link-level
+  // failure — transport error, or a shard error frame, which carries no
+  // request id and so poisons the stream's only remaining correlation — the
+  // fan-out drops the connection rather than resynchronize a stream it no
+  // longer trusts, and the next op that needs the link dials a fresh one
+  // with the factory (one dial per op). Without a factory a failed link
+  // stays down and ops touching it fail fast with the link's error.
   std::vector<net::TransportFactory> redial;
 };
 
@@ -150,22 +151,25 @@ struct FanoutOptions {
 // (an early error return leaving unread replies in other shards' pipes).
 class ShardFanout {
  public:
-  // Invoked exactly once per AnswerAsync, possibly on a link reader
+  // Invoked exactly once per AnswerAsync, possibly on a pump reader
   // thread, a reactor loop thread, or (for immediate failures) the calling
   // thread. Must not block.
   using AnswerCallback = std::function<void(Result<Bytes>)>;
 
-  // One transport per shard, in shard order. The fan-out owns them and
-  // runs a reader/writer thread pair per link.
+  // One transport per shard, in shard order. Each is its link's first
+  // connection, on a net::TransportPump the fan-out owns (a reader and a
+  // writer thread per connection); redials (FanoutOptions::redial) run on
+  // the same pump.
   ShardFanout(const ShardTopology& topology,
               std::vector<std::unique_ptr<net::Transport>> shard_links,
               FanoutOptions options = {});
 
   // Reactor-multiplexed links: dials every shard address through `reactor`
   // (non-blocking connects; net::Reactor::Connect), so one loop thread
-  // carries all outbound shard traffic and no fan-out threads exist.
-  // Teardown order matches the serving contract (server.h): stop the
-  // reactor first, then destroy the fan-out, then the reactor object.
+  // carries all outbound shard traffic and no fan-out threads exist; a
+  // downed link redials the same address. Teardown order matches the
+  // serving contract (server.h): stop the reactor first, then destroy the
+  // fan-out, then the reactor object.
   struct ShardAddr {
     std::string host;
     std::uint16_t port = 0;
@@ -193,12 +197,9 @@ class ShardFanout {
   // round trips.
   Result<Bytes> Answer(const dpf::DpfKey& key);
 
-  // The correlation table + links. Defined in frontend.cc; public only so
-  // the link backends there (plain classes, not members) can derive from
-  // Mux::Link.
-  class Mux;
-
  private:
+  class Mux;  // the correlation table + links; defined in frontend.cc
+
   explicit ShardFanout(std::unique_ptr<Mux> mux);
   std::unique_ptr<Mux> mux_;
 };

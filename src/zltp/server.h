@@ -60,7 +60,8 @@ class ZltpPirServer {
   // reactors that also carry outbound links (a FrontEndServer's
   // ShardFanout::ConnectOnReactor connections): Stop() fires on_close for
   // every outbound conn, after which the fan-out fails its pending ops and
-  // its Shutdown's Close(id) calls are stale-id no-ops.
+  // its links' Close(id) calls are stale-id no-ops. A fan-out built from
+  // transports runs its links on its own pump and needs no such order.
   Status ServeOnReactor(net::Reactor& reactor, net::TcpListener listener) {
     return core_.ServeOnReactor(reactor, std::move(listener));
   }

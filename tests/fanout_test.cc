@@ -13,6 +13,7 @@
 // including TSan (docs/ROBUSTNESS.md).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -264,11 +265,12 @@ TEST(Fanout, SendFailureOnOneShardFailsOpAndLateRepliesDrop) {
 
 TEST(Fanout, OpQueuedWhileLinkResetsRidesTheFreshStream) {
   TwoShards deployment;
-  // Shard 1's link dies on its first send, and the reset that drops the
-  // dead stream stalls at a gate when it closes it. In that window the
-  // link has dropped the stream but not yet failed the ops sent on it. An
-  // op queued now belongs to the redialed stream: it must ride that
-  // stream, not fail with the dead one's ops.
+  // Shard 1's link dies on its first send, and the pump that ends the dead
+  // stream stalls at a gate when it closes it. In that window the stream
+  // refuses sends, but its close has not reached the link, which has not
+  // yet failed the ops sent on it. An op queued now belongs to the
+  // redialed stream: it must ride that stream, not fail with the dead
+  // one's ops.
   auto gate = std::make_shared<net::Gate>();
   std::promise<Result<Bytes>> first;
   std::promise<Result<Bytes>> second;
@@ -322,6 +324,40 @@ TEST(Fanout, FlakyShardLinkRecoversViaRedial) {
       pir::MakeIndexQuery(13, deployment.topology.domain_bits);
   Result<Bytes> answer = UnavailableError("unset");
   for (int attempt = 0; attempt < 5 && !answer.ok(); ++attempt) {
+    answer = fanout.Answer(q.key0);
+  }
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(*answer, deployment.DirectAnswer(q.key0));
+}
+
+TEST(Fanout, LinkRedialsAgainAfterAFailedRedial) {
+  TwoShards deployment;
+  // Shard 1's link dies on its first send, and its redial factory fails its
+  // first call. A failed dial must not leave the link down for good: the
+  // next op that finds it down dials again, and that dial serves it.
+  std::atomic<int> shard1_dials{0};
+  FanoutOptions options;
+  options.redial = {
+      deployment.RedialFactory(0),
+      [&]() -> Result<std::unique_ptr<net::Transport>> {
+        if (shard1_dials.fetch_add(1) == 0) {
+          return UnavailableError("injected dial failure");
+        }
+        return deployment.ServedLink(1);
+      }};
+  std::vector<std::unique_ptr<net::Transport>> links;
+  links.push_back(deployment.ServedLink(0));
+  links.push_back(std::make_unique<net::DyingTransport>(
+      deployment.ServedLink(1), /*ops_before_death=*/1));
+  ShardFanout fanout(deployment.topology, std::move(links),
+                     std::move(options));
+
+  // The first op fails with the dead stream, the second with the failed
+  // dial; the third rides the second dial.
+  const pir::QueryKeys q =
+      pir::MakeIndexQuery(19, deployment.topology.domain_bits);
+  Result<Bytes> answer = UnavailableError("unset");
+  for (int attempt = 0; attempt < 3 && !answer.ok(); ++attempt) {
     answer = fanout.Answer(q.key0);
   }
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
@@ -409,8 +445,8 @@ TEST(Fanout, LateReplyIsDroppedNeverMisattributed) {
 
 TEST(Fanout, ReactorLinksMatchThreadedLinksOverTcp) {
   // The reply-equivalence check across serving models: the same deployment
-  // answered through thread-per-link transports and through reactor
-  // outbound connections must produce byte-identical record shares.
+  // answered through transport links on the fan-out's pump and through
+  // reactor outbound connections must produce byte-identical record shares.
   TwoShards deployment;
   net::Reactor reactor;
   std::vector<ShardFanout::ShardAddr> addrs;

@@ -1,11 +1,17 @@
-// Transport tests: in-memory pair semantics, framed TCP transport, and
-// adversarial framing inputs.
+// Transport tests: in-memory pair semantics, framed TCP transport,
+// adversarial framing inputs, and the transport pump.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <chrono>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <vector>
 
+#include "net/faulty.h"
+#include "net/pump.h"
 #include "net/tcp.h"
 #include "net/transport.h"
 #include "util/rand.h"
@@ -237,6 +243,136 @@ TEST(Tcp, MultipleSequentialConnections) {
               std::to_string(i));
   }
   server.join();
+}
+
+// ---------------------------------------------------------- transport pump
+//
+// The bounded waits below only keep a failing test from hanging.
+
+constexpr std::chrono::seconds kGuard{10};
+
+TEST(TransportPump, FailedDialClosesWithTheFactorysStatus) {
+  std::promise<Status> closed;
+  Connections::Handler handler;
+  handler.on_close = [&closed](Connections::ConnId, const Status& why) {
+    closed.set_value(why);
+  };
+  TransportPump pump;
+  const Connections::ConnId id = pump.Connect(
+      []() -> Result<std::unique_ptr<Transport>> {
+        return PermissionDeniedError("injected dial failure");
+      },
+      handler);
+  auto why = closed.get_future();
+  ASSERT_EQ(why.wait_for(kGuard), std::future_status::ready);
+  const Status status = why.get();
+  EXPECT_EQ(status.code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(status.message(), "injected dial failure");
+  EXPECT_EQ(pump.Send(id, MakeFrame(1, "late")).code(),
+            StatusCode::kUnavailable);
+}
+
+TEST(TransportPump, ReaderAndWriterFailingTogetherCloseOnce) {
+  TransportPair pair = CreateInMemoryPair();
+  std::mutex mu;
+  int closes = 0;
+  int frames_after_close = 0;
+  Status why = Status::Ok();
+  std::promise<void> closed;
+  Connections::Handler handler;
+  handler.on_frame = [&](Connections::ConnId, Frame) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (closes > 0) ++frames_after_close;
+  };
+  handler.on_close = [&](Connections::ConnId, const Status& status) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (++closes == 1) {
+      why = status;
+      closed.set_value();
+    }
+  };
+  {
+    TransportPump pump;
+    // One op of budget: whichever of the reader's receive and the writer's
+    // send comes second fails, and its failure closes the stream under the
+    // other one too.
+    const Connections::ConnId id = pump.Adopt(
+        std::make_unique<DyingTransport>(std::move(pair.a), 1), handler);
+    ASSERT_TRUE(pump.Send(id, MakeFrame(1, "x")).ok());
+    (void)pair.b->Send(MakeFrame(2, "y"));
+    ASSERT_EQ(closed.get_future().wait_for(kGuard), std::future_status::ready);
+  }  // Stop() joined every pump thread: no callback can come after this.
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(closes, 1);
+  EXPECT_EQ(frames_after_close, 0);
+  EXPECT_EQ(why.code(), StatusCode::kUnavailable) << why.ToString();
+}
+
+TEST(TransportPump, CloseAfterFlushSendsEveryQueuedFrameBeforeTheClose) {
+  TransportPair pair = CreateInMemoryPair();
+  std::promise<Status> closed;
+  Connections::Handler handler;
+  handler.on_close = [&closed](Connections::ConnId, const Status& why) {
+    closed.set_value(why);
+  };
+  TransportPump pump;
+  const Connections::ConnId id = pump.Adopt(std::move(pair.a), handler);
+  constexpr int kFrames = 200;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(pump.Send(id, MakeFrame(4, std::to_string(i))).ok());
+  }
+  pump.CloseAfterFlush(id);
+  EXPECT_EQ(pump.Send(id, MakeFrame(4, "after")).code(),
+            StatusCode::kUnavailable);
+  for (int i = 0; i < kFrames; ++i) {
+    auto got = pair.b->Receive(Deadline::After(kGuard));
+    ASSERT_TRUE(got.ok()) << "frame " << i << ": " << got.status().ToString();
+    EXPECT_EQ(ToString(got->payload), std::to_string(i));
+  }
+  auto end = pair.b->Receive(Deadline::After(kGuard));
+  ASSERT_FALSE(end.ok());
+  EXPECT_EQ(end.status().code(), StatusCode::kUnavailable);
+  auto why = closed.get_future();
+  ASSERT_EQ(why.wait_for(kGuard), std::future_status::ready);
+  EXPECT_TRUE(why.get().ok());
+}
+
+TEST(TransportPump, DestroyingThePumpClosesOpenConnections) {
+  constexpr int kConns = 4;
+  std::vector<std::unique_ptr<Transport>> peers;
+  std::mutex mu;
+  int closes = 0;
+  Connections::Handler handler;
+  handler.on_close = [&](Connections::ConnId, const Status&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++closes;
+  };
+  {
+    TransportPump pump;
+    for (int i = 0; i < kConns; ++i) {
+      TransportPair pair = CreateInMemoryPair();
+      peers.push_back(std::move(pair.b));
+      if (i % 2 == 0) {
+        pump.Adopt(std::move(pair.a), handler);
+      } else {
+        auto dialed = std::make_shared<TransportPair>(std::move(pair));
+        pump.Connect(
+            [dialed]() -> Result<std::unique_ptr<Transport>> {
+              return std::move(dialed->a);
+            },
+            handler);
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(closes, kConns);
+  }
+  for (auto& peer : peers) {
+    auto got = peer->Receive(Deadline::After(kGuard));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
+  }
 }
 
 }  // namespace
