@@ -8,7 +8,6 @@
 #include "lightweb/snapshot.h"
 #include "lightweb/universe.h"
 #include "net/transport.h"
-#include "pir/cuckoo_store.h"
 #include "pir/packing.h"
 #include "util/bytes.h"
 #include "util/check.h"
@@ -175,18 +174,14 @@ int FuzzTable(const std::uint8_t* data, std::size_t size) {
   lightweb::Universe universe(cfg);
   (void)lightweb::LoadUniverseSnapshot(universe, AsText(data, size));
 
-  // Record-level decoders that cuckoo keyword lookups feed on.
+  // Record-level decoders that keyword lookups feed on.
   const ByteSpan span(data, size);
   if (const auto rec = pir::UnpackRecord(span); rec.ok()) {
     const auto repacked =
         pir::PackRecord(rec->fingerprint, rec->payload, size);
     LW_CHECK_MSG(repacked.ok(), "unpacked record failed to re-pack");
   }
-  if (size >= 2) {
-    const std::size_t half = size / 2;
-    (void)pir::InterpretCuckooRecords(span.subspan(0, half),
-                                      span.subspan(half), /*fingerprint=*/0);
-  }
+  (void)pir::InterpretRecord(span, /*expected_fingerprint=*/0);
   return 0;
 }
 

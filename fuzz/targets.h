@@ -41,9 +41,9 @@ int FuzzReader(const std::uint8_t* data, std::size_t size);
 // util::HexDecode / HexEncode roundtrip.
 int FuzzHex(const std::uint8_t* data, std::size_t size);
 
-// Cuckoo/keyword table load surfaces: lightweb::LoadUniverseSnapshot into a
-// tiny universe (exercises JSON, hex, path, and LightScript template
-// parsing) plus pir::UnpackRecord and pir::InterpretCuckooRecords.
+// Keyword table load surfaces: lightweb::LoadUniverseSnapshot into a tiny
+// universe (exercises JSON, hex, path, and LightScript template parsing)
+// plus pir::UnpackRecord and pir::InterpretRecord.
 int FuzzTable(const std::uint8_t* data, std::size_t size);
 
 using TargetFn = int (*)(const std::uint8_t*, std::size_t);

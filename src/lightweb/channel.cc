@@ -40,14 +40,7 @@ Result<Bytes> InProcessPirChannel::PrivateGet(std::string_view key) {
   const std::uint64_t index = store_.mapper().IndexOf(key);
   Bytes record;
   LW_RETURN_IF_ERROR(GetIndex(index, &record).status());
-  LW_ASSIGN_OR_RETURN(const pir::UnpackedRecord un, pir::UnpackRecord(record));
-  if (un.fingerprint == 0 && un.payload.empty()) {
-    return NotFoundError("key not published in this universe");
-  }
-  if (un.fingerprint != store_.mapper().Fingerprint(key)) {
-    return CollisionError("record belongs to a different key");
-  }
-  return un.payload;
+  return pir::InterpretRecord(record, store_.mapper().Fingerprint(key));
 }
 
 Status InProcessPirChannel::DummyGet() {

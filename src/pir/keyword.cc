@@ -68,9 +68,4 @@ std::vector<std::string> KeywordRegistry::AllKeys() const {
   return keys;
 }
 
-double KeywordRegistry::LoadFactor() const {
-  return static_cast<double>(owner_.size()) /
-         static_cast<double>(std::uint64_t{1} << mapper_.domain_bits());
-}
-
 }  // namespace lw::pir

@@ -65,9 +65,6 @@ class KeywordRegistry {
   // Every registered key (order unspecified). Used by universe peering.
   std::vector<std::string> AllKeys() const;
 
-  // Load factor diagnostics for the collision ablation (E9).
-  double LoadFactor() const;
-
  private:
   KeywordMapper mapper_;
   std::unordered_map<std::uint64_t, std::string> owner_;  // index -> key

@@ -37,4 +37,17 @@ Result<UnpackedRecord> UnpackRecord(ByteSpan record) {
   return out;
 }
 
+Result<Bytes> InterpretRecord(ByteSpan record,
+                              std::uint64_t expected_fingerprint) {
+  LW_ASSIGN_OR_RETURN(UnpackedRecord un, UnpackRecord(record));
+  if (un.fingerprint == 0 && un.payload.empty()) {
+    return NotFoundError("key not published in this universe");
+  }
+  if (un.fingerprint != expected_fingerprint) {
+    return CollisionError(
+        "record at this index belongs to a different key (hash collision)");
+  }
+  return std::move(un.payload);
+}
+
 }  // namespace lw::pir

@@ -34,4 +34,11 @@ struct UnpackedRecord {
 // reconstruction after an undetected collision).
 Result<UnpackedRecord> UnpackRecord(ByteSpan record);
 
+// Client-side reading of the record a keyword GET reconstructed: an empty
+// slot (an all-zero record: fingerprint 0, length 0) is NOT_FOUND, a record
+// carrying another key's fingerprint is COLLISION, and otherwise the payload
+// is returned.
+Result<Bytes> InterpretRecord(ByteSpan record,
+                              std::uint64_t expected_fingerprint);
+
 }  // namespace lw::pir

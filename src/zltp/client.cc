@@ -70,21 +70,6 @@ const Status& StatusOf(const Result<T>& r) {
   return r.status();
 }
 
-// Interprets a reconstructed record for a keyword query: verifies presence
-// and the embedded fingerprint.
-Result<Bytes> InterpretRecord(const Bytes& record,
-                              std::uint64_t expected_fingerprint) {
-  LW_ASSIGN_OR_RETURN(const pir::UnpackedRecord un, pir::UnpackRecord(record));
-  if (un.fingerprint == 0 && un.payload.empty()) {
-    return NotFoundError("key not published in this universe");
-  }
-  if (un.fingerprint != expected_fingerprint) {
-    return CollisionError(
-        "record at this index belongs to a different key (hash collision)");
-  }
-  return un.payload;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------- PirSession
@@ -338,7 +323,7 @@ Result<Bytes> PirSession::PrivateGet(std::string_view key) {
   if (closed_) return FailedPreconditionError("session closed");
   const pir::KeywordMapper mapper(keyword_seed_, domain_bits_);
   LW_ASSIGN_OR_RETURN(const Bytes record, PrivateGetIndex(mapper.IndexOf(key)));
-  return InterpretRecord(record, mapper.Fingerprint(key));
+  return pir::InterpretRecord(record, mapper.Fingerprint(key));
 }
 
 Result<std::vector<Result<Bytes>>> PirSession::PrivateGetBatch(
@@ -428,7 +413,8 @@ Result<std::vector<Result<Bytes>>> PirSession::PrivateGetBatch(
         out.push_back(record.status());
         continue;
       }
-      out.push_back(InterpretRecord(*record, mapper.Fingerprint(keys[i])));
+      out.push_back(
+          pir::InterpretRecord(*record, mapper.Fingerprint(keys[i])));
     }
     return out;
   });
@@ -527,6 +513,7 @@ Result<EnclaveSession> EnclaveSession::Establish(EstablishOptions options) {
     if (attempt >= max_attempts || !options.factory0) return failure;
     backoff.SleepBeforeRetry();
     session.traffic_.retries += 1;
+    if (session.sink_ != nullptr) session.sink_->retries += 1;
     obs::M().client_retries.Inc();
   }
 }

@@ -1,6 +1,5 @@
 // PIR layer tests: blob database scans (single + batched), end-to-end
-// two-server retrieval, record packing, keyword mapping/collisions, and the
-// cuckoo index.
+// two-server retrieval, record packing and keyword mapping/collisions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "pir/blob_db.h"
-#include "pir/cuckoo.h"
 #include "pir/keyword.h"
 #include "pir/packing.h"
 #include "pir/two_server.h"
@@ -840,105 +838,6 @@ TEST(KeywordRegistry, KeyAt) {
   const std::uint64_t idx = reg.Register("hello").value();
   EXPECT_EQ(reg.KeyAt(idx).value(), "hello");
   EXPECT_FALSE(reg.KeyAt(idx + 1 < (1u << 16) ? idx + 1 : idx - 1).ok());
-}
-
-// ------------------------------------------------------------- cuckoo
-
-TEST(Cuckoo, InsertsWellBeyondDirectHashingCapacity) {
-  // 2-choice cuckoo hashing succeeds w.h.p. below the 50% load threshold;
-  // direct hashing would collide long before 35% (birthday bound).
-  // Deterministic seed keeps the test reproducible.
-  const Bytes seed(16, 0x42);
-  CuckooIndex cuckoo(seed, 10);
-  for (int i = 0; i < 360; ++i) {
-    auto r = cuckoo.Insert("key-" + std::to_string(i));
-    ASSERT_TRUE(r.ok()) << "insert " << i << ": " << r.status().ToString();
-  }
-  EXPECT_EQ(cuckoo.size(), 360u);
-
-  // Direct hashing with the same keys/domain hits a collision well before
-  // that (this is the E9 ablation claim in miniature).
-  KeywordRegistry direct(seed, 10);
-  bool collided = false;
-  for (int i = 0; i < 360 && !collided; ++i) {
-    collided = !direct.Register("key-" + std::to_string(i)).ok();
-  }
-  EXPECT_TRUE(collided);
-}
-
-TEST(Cuckoo, FindReturnsACandidateSlot) {
-  const Bytes seed = SecureRandom(16);
-  CuckooIndex cuckoo(seed, 10);
-  for (int i = 0; i < 300; ++i) {
-    const std::string k = "key-" + std::to_string(i);
-    ASSERT_TRUE(cuckoo.Insert(k).ok());
-  }
-  for (int i = 0; i < 300; ++i) {
-    const std::string k = "key-" + std::to_string(i);
-    const std::uint64_t slot = cuckoo.Find(k).value();
-    const auto [h1, h2] = cuckoo.Candidates(k);
-    EXPECT_TRUE(slot == h1 || slot == h2) << k;
-    EXPECT_EQ(cuckoo.KeyAt(slot).value(), k);
-  }
-}
-
-TEST(Cuckoo, RejectsDuplicateInsert) {
-  const Bytes seed = SecureRandom(16);
-  CuckooIndex cuckoo(seed, 8);
-  ASSERT_TRUE(cuckoo.Insert("a").ok());
-  EXPECT_EQ(cuckoo.Insert("a").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(Cuckoo, RemoveThenReinsert) {
-  const Bytes seed = SecureRandom(16);
-  CuckooIndex cuckoo(seed, 8);
-  ASSERT_TRUE(cuckoo.Insert("a").ok());
-  ASSERT_TRUE(cuckoo.Remove("a").ok());
-  EXPECT_FALSE(cuckoo.Find("a").ok());
-  EXPECT_FALSE(cuckoo.Remove("a").ok());
-  EXPECT_TRUE(cuckoo.Insert("a").ok());
-}
-
-TEST(Cuckoo, MovesKeepIndexConsistent) {
-  const Bytes seed = SecureRandom(16);
-  CuckooIndex cuckoo(seed, 6);  // small table to force evictions
-  std::set<std::string> inserted;
-  for (int i = 0; i < 40; ++i) {
-    const std::string k = "k" + std::to_string(i);
-    auto moves = cuckoo.Insert(k);
-    if (!moves.ok()) break;  // table may genuinely fill up
-    inserted.insert(k);
-    for (const auto& mv : *moves) {
-      // Every reported move must land the key where Find() now says it is.
-      EXPECT_EQ(cuckoo.Find(mv.key).value(), mv.to);
-    }
-  }
-  // All successfully inserted keys remain findable at consistent slots.
-  for (const auto& k : inserted) {
-    const std::uint64_t slot = cuckoo.Find(k).value();
-    EXPECT_EQ(cuckoo.KeyAt(slot).value(), k);
-  }
-}
-
-TEST(Cuckoo, FailedInsertLeavesIndexUnchanged) {
-  const Bytes seed = SecureRandom(16);
-  CuckooIndex cuckoo(seed, 3, /*max_kicks=*/4);  // 8 slots, short chains
-  std::vector<std::string> ok_keys;
-  std::string failed;
-  for (int i = 0; i < 64 && failed.empty(); ++i) {
-    const std::string k = "x" + std::to_string(i);
-    if (cuckoo.Insert(k).ok()) {
-      ok_keys.push_back(k);
-    } else {
-      failed = k;
-    }
-  }
-  ASSERT_FALSE(failed.empty()) << "expected an insert failure on 8 slots";
-  EXPECT_FALSE(cuckoo.Find(failed).ok());
-  for (const auto& k : ok_keys) {
-    EXPECT_TRUE(cuckoo.Find(k).ok()) << k;
-  }
 }
 
 }  // namespace

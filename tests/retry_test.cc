@@ -410,6 +410,39 @@ TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {
   session->Close();
 }
 
+TEST(SessionRetryTest, EnclaveEstablishRetryReachesTrafficSink) {
+  oram::EnclaveConfig config;
+  config.capacity = 64;
+  config.value_size = 128;
+  oram::MemoryStorage storage(oram::KvEnclave::RequiredStorageBuckets(config));
+  oram::KvEnclave enclave(config, storage);
+  zltp::ZltpEnclaveServer server(enclave);
+
+  FakeClock fake;
+  auto dials = std::make_shared<std::atomic<int>>(0);
+  zltp::TrafficCounters sink;
+  zltp::EstablishOptions options;
+  // First dial attempt is refused; the second goes through.
+  options.factory0 =
+      [dials, &server]() -> Result<std::unique_ptr<net::Transport>> {
+    if (dials->fetch_add(1) == 0) return UnavailableError("dial refused");
+    net::TransportPair p = net::CreateInMemoryPair();
+    server.ServeConnectionDetached(std::move(p.b));
+    return std::move(p.a);
+  };
+  options.retry.max_attempts = 3;
+  options.retry.jitter = 0.0;
+  options.clock = &fake;
+  options.traffic_sink = &sink;
+
+  auto session = zltp::EnclaveSession::Establish(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(dials->load(), 2);
+  EXPECT_EQ(session->traffic().retries, 1u);
+  EXPECT_EQ(sink.retries, 1u);
+  session->Close();
+}
+
 TEST(SessionRetryTest, EnclaveRejectsSecondServerSlot) {
   net::TransportPair p = net::CreateInMemoryPair();
   net::TransportPair q = net::CreateInMemoryPair();

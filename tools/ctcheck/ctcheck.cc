@@ -10,11 +10,10 @@
 // A |t| above the threshold means the distributions differ, i.e. the
 // secret leaks into timing.
 //
-// Targets cover the four constant-time kernels the paper's privacy
+// Targets cover the three constant-time kernels the paper's privacy
 // argument leans on:
 //   aead-tag-verify   ChaCha20-Poly1305 tag rejection (mismatch position)
 //   poly1305-mac      Poly1305 final reduction (fixed vs random message)
-//   cuckoo-match      keyword fingerprint match (which slot matched)
 //   oram-stash-scan   Path ORAM stash selection (present vs absent id)
 // plus one deliberately variable-time reference:
 //   vartime-ref       early-exit byte compare — ctcheck must DETECT this
@@ -41,8 +40,6 @@
 #include "crypto/aead.h"
 #include "crypto/poly1305.h"
 #include "oram/path_oram.h"
-#include "pir/cuckoo_store.h"
-#include "pir/packing.h"
 #include "util/bytes.h"
 
 namespace lw::ctcheck {
@@ -222,29 +219,6 @@ Timings RunPoly1305(std::size_t samples, Xorshift64& rng) {
       });
 }
 
-Timings RunCuckooMatch(std::size_t samples, Xorshift64& rng) {
-  // Which of the two candidate slots holds the queried keyword is a
-  // function of the private query; InterpretCuckooRecords must take the
-  // same time whether slot A or slot B matched.
-  const std::size_t record_size = 1024;
-  const std::uint64_t fp_a = 0x1111222233334444ull;
-  const std::uint64_t fp_b = 0x5555666677778888ull;
-  Bytes payload(256, 0x33);
-  const Bytes rec_a = *pir::PackRecord(fp_a, payload, record_size);
-  const Bytes rec_b = *pir::PackRecord(fp_b, payload, record_size);
-  Bytes fp(sizeof(std::uint64_t));
-  return Measure(
-      samples, rng, fp,
-      [&](int cls, MutableByteSpan in) {
-        StoreLE64(in.data(), cls == 0 ? fp_a : fp_b);
-      },
-      [&] {
-        auto r =
-            pir::InterpretCuckooRecords(rec_a, rec_b, LoadLE64(fp.data()));
-        DoNotOptimize(&r);
-      });
-}
-
 Timings RunOramStashScan(std::size_t samples, Xorshift64& rng) {
   // The stash scan must touch every entry identically whether the wanted
   // block is present (class 0: always the same resident id) or absent
@@ -309,7 +283,6 @@ struct Target {
 const Target kTargets[] = {
     {"aead-tag-verify", RunAeadTagVerify, false},
     {"poly1305-mac", RunPoly1305, false},
-    {"cuckoo-match", RunCuckooMatch, false},
     {"oram-stash-scan", RunOramStashScan, false},
     {"vartime-ref", RunVartimeRef, true},
 };
