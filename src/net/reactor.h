@@ -30,8 +30,8 @@
 //
 // The reactor is one of two hosts of the Connections API (net/connections.h);
 // the other, net::TransportPump (net/pump.h), drives blocking
-// net::Transports for --serve-mode=threaded and in-process links. The ZLTP
-// endpoint core and the shard fan-out run one handler over either.
+// net::Transports such as in-process links and fault-injecting decorators.
+// The ZLTP endpoint core and the shard fan-out run one handler over either.
 #pragma once
 
 #include <chrono>

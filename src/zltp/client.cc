@@ -1,6 +1,5 @@
 #include "zltp/client.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -27,50 +26,206 @@ std::uint64_t BackoffSeed() {
   return LoadLE64(buf);
 }
 
-struct HelloBytes {
-  std::size_t sent = 0;
-  std::size_t received = 0;
-};
+// A uniformly random index of a 2^domain_bits domain: a cover query.
+std::uint64_t RandomIndex(int domain_bits) {
+  std::uint8_t buf[8];
+  SecureRandomBytes(MutableByteSpan(buf, 8));
+  return LoadLE64(buf) & ((std::uint64_t{1} << domain_bits) - 1);
+}
 
-Result<ServerHello> HelloExchange(net::Transport& transport, Mode mode,
-                                  const net::Deadline& deadline,
-                                  HelloBytes& bytes) {
-  ClientHello hello;
-  hello.supported_modes = {mode};
-  const net::Frame out = Encode(hello);
-  LW_RETURN_IF_ERROR(transport.Send(out, deadline));
-  bytes.sent += FrameWireSize(out);
+}  // namespace
 
-  LW_ASSIGN_OR_RETURN(const net::Frame in, transport.Receive(deadline));
-  bytes.received += FrameWireSize(in);
-  if (in.type == static_cast<std::uint8_t>(MsgType::kError)) {
-    LW_ASSIGN_OR_RETURN(const ErrorMsg e, DecodeError(in));
-    return StatusFromError(e);
+// -------------------------------------------------------- LinkedSession
+
+Status LinkedSession::Open(EstablishOptions options) {
+  hello_timeout_ = options.hello_timeout;
+  op_timeout_ = options.op_timeout;
+  retry_ = options.retry;
+  if (retry_.clock == nullptr) retry_.clock = options.clock;
+  clock_ = options.clock;
+  sink_ = options.traffic_sink;
+  slots_[0] = Slot{std::move(options.transport0), std::move(options.factory0)};
+  if (slots_.size() > 1) {
+    slots_[1] =
+        Slot{std::move(options.transport1), std::move(options.factory1)};
   }
+
+  net::Backoff backoff(retry_, BackoffSeed());
+  for (int attempt = 1;; ++attempt) {
+    const Status s = Connect(/*reestablish=*/false);
+    if (s.ok() || !net::IsRetryable(s) || attempt >= retry_.max_attempts ||
+        !CanRedial()) {
+      return s;
+    }
+    backoff.SleepBeforeRetry();
+    Account({.retries = 1});
+  }
+}
+
+net::Deadline LinkedSession::After(std::chrono::nanoseconds timeout) const {
+  if (timeout <= std::chrono::nanoseconds::zero()) {
+    return net::Deadline::Infinite();
+  }
+  return net::Deadline::After(timeout, clock_);
+}
+
+Result<ServerHello> LinkedSession::Hello(std::size_t slot) {
+  const net::Deadline deadline = After(hello_timeout_);
+  ClientHello hello;
+  hello.supported_modes = {mode_};
+  LW_RETURN_IF_ERROR(Send(slot, Encode(hello), deadline));
+  LW_ASSIGN_OR_RETURN(const net::Frame in, Receive(slot, deadline));
   LW_ASSIGN_OR_RETURN(ServerHello server_hello, DecodeServerHello(in));
   if (server_hello.version != kProtocolVersion) {
     return ProtocolError("server speaks unsupported version");
   }
-  if (server_hello.mode != mode) {
+  if (server_hello.mode != mode_) {
     return ProtocolError("server selected a mode we did not offer");
   }
   return server_hello;
 }
 
-net::Deadline MakeDeadline(std::chrono::nanoseconds timeout, Clock* clock) {
-  if (timeout <= std::chrono::nanoseconds::zero()) {
-    return net::Deadline::Infinite();
+Status LinkedSession::Connect(bool reestablish) {
+  Status s = Status::Ok();
+  for (Slot& slot : slots_) {
+    if (slot.transport != nullptr) continue;
+    auto dialed = slot.dial();
+    if (!dialed.ok()) {
+      s = dialed.status();
+      break;
+    }
+    slot.transport = std::move(*dialed);
   }
-  return net::Deadline::After(timeout, clock);
+  std::vector<ServerHello> hellos;
+  for (std::size_t i = 0; s.ok() && i < slots_.size(); ++i) {
+    auto hello = Hello(i);
+    if (!hello.ok()) {
+      s = hello.status();
+      break;
+    }
+    hellos.push_back(std::move(*hello));
+  }
+  if (s.ok()) s = Accept(slots_, hellos, reestablish);
+  // Never reuse a connection from a failed attempt.
+  if (!s.ok()) DropConnections();
+  return s;
 }
 
-[[maybe_unused]] const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-const Status& StatusOf(const Result<T>& r) {
-  return r.status();
+bool LinkedSession::connected() const {
+  for (const Slot& slot : slots_) {
+    if (slot.transport == nullptr) return false;
+  }
+  return true;
 }
 
-}  // namespace
+bool LinkedSession::CanRedial() const {
+  for (const Slot& slot : slots_) {
+    if (!slot.dial) return false;
+  }
+  return true;
+}
+
+Status LinkedSession::Redial() {
+  if (!CanRedial()) {
+    return UnavailableError("session disconnected (no redial factory)");
+  }
+  Account({.redials = 1});
+  return Connect(/*reestablish=*/true);
+}
+
+void LinkedSession::DropConnections() {
+  // Drop every connection even if only one faulted: an orphaned in-flight
+  // response on a healthy one would desynchronize request ids for every
+  // later query. The factories survive for redial.
+  for (Slot& slot : slots_) {
+    if (slot.transport != nullptr) slot.transport->Close();
+    slot.transport.reset();
+  }
+}
+
+template <typename Op>
+auto LinkedSession::WithRetries(Op&& op) -> decltype(op(net::Deadline())) {
+  net::Backoff backoff(retry_, BackoffSeed());
+  for (int attempt = 1;; ++attempt) {
+    Status failure = connected() ? Status::Ok() : Redial();
+    if (failure.ok()) {
+      auto result = op(After(op_timeout_));
+      if (result.ok()) return result;
+      failure = result.status();
+      if (failure.code() == StatusCode::kDeadlineExceeded) {
+        obs::M().client_op_timeouts.Inc();
+      }
+      // Whatever the code: a pipelined batch that stops at its first error
+      // frame leaves the rest of its replies on the wire.
+      DropConnections();
+    }
+    if (!net::IsRetryable(failure) || attempt >= retry_.max_attempts ||
+        !CanRedial()) {
+      return failure;
+    }
+    backoff.SleepBeforeRetry();
+    Account({.retries = 1});
+  }
+}
+
+Status LinkedSession::Send(std::size_t slot, const net::Frame& frame,
+                           const net::Deadline& deadline) {
+  LW_RETURN_IF_ERROR(slots_[slot].transport->Send(frame, deadline));
+  Account({.bytes_sent = FrameWireSize(frame)});
+  return Status::Ok();
+}
+
+Result<net::Frame> LinkedSession::Receive(std::size_t slot,
+                                          const net::Deadline& deadline) {
+  LW_ASSIGN_OR_RETURN(net::Frame in, slots_[slot].transport->Receive(deadline));
+  Account({.bytes_received = FrameWireSize(in)});
+  if (in.type == static_cast<std::uint8_t>(MsgType::kError)) {
+    LW_ASSIGN_OR_RETURN(const ErrorMsg e, DecodeError(in));
+    return StatusFromError(e);
+  }
+  return in;
+}
+
+Result<Bytes> LinkedSession::RoundTrip(std::size_t slot,
+                                       std::uint32_t request_id, Bytes body,
+                                       const net::Deadline& deadline) {
+  LW_RETURN_IF_ERROR(
+      Send(slot, Encode(GetRequest{request_id, std::move(body)}), deadline));
+  LW_ASSIGN_OR_RETURN(const net::Frame in, Receive(slot, deadline));
+  LW_ASSIGN_OR_RETURN(GetResponse response, DecodeGetResponse(in));
+  if (response.request_id != request_id) {
+    return ProtocolError("response id does not match request");
+  }
+  return std::move(response.body);
+}
+
+void LinkedSession::Account(const TrafficCounters& delta) {
+  for (TrafficCounters* t : {&traffic_, sink_}) {
+    if (t == nullptr) continue;
+    t->bytes_sent += delta.bytes_sent;
+    t->bytes_received += delta.bytes_received;
+    t->requests += delta.requests;
+    t->retries += delta.retries;
+    t->redials += delta.redials;
+  }
+  obs::Metrics& m = obs::M();
+  m.client_bytes_sent.Inc(delta.bytes_sent);
+  m.client_bytes_received.Inc(delta.bytes_received);
+  m.client_requests.Inc(delta.requests);
+  m.client_retries.Inc(delta.retries);
+  m.client_redials.Inc(delta.redials);
+}
+
+void LinkedSession::Close() {
+  // Bye is left out of traffic(): the counters measure what the session's
+  // hellos and GETs cost.
+  for (Slot& slot : slots_) {
+    if (slot.transport == nullptr) continue;
+    (void)slot.transport->Send(EncodeBye(), net::Deadline::Infinite());
+  }
+  DropConnections();
+  closed_ = true;
+}
 
 // ----------------------------------------------------------- PirSession
 
@@ -80,102 +235,29 @@ Result<PirSession> PirSession::Establish(EstablishOptions options) {
     return InvalidArgumentError(
         "EstablishOptions needs a transport or a factory for each server");
   }
-
   PirSession session;
-  session.hello_timeout_ = options.hello_timeout;
-  session.op_timeout_ = options.op_timeout;
-  session.retry_ = options.retry;
-  if (session.retry_.clock == nullptr) session.retry_.clock = options.clock;
-  session.clock_ = options.clock;
-  session.sink_ = options.traffic_sink;
-
-  std::unique_ptr<net::Transport> t0 = std::move(options.transport0);
-  std::unique_ptr<net::Transport> t1 = std::move(options.transport1);
-  net::Backoff backoff(session.retry_, BackoffSeed());
-  const int max_attempts = std::max(session.retry_.max_attempts, 1);
-  const bool can_redial =
-      static_cast<bool>(options.factory0) && static_cast<bool>(options.factory1);
-  for (int attempt = 1;; ++attempt) {
-    Status failure = Status::Ok();
-    if (t0 == nullptr) {
-      auto dialed = options.factory0();
-      if (dialed.ok()) {
-        t0 = std::move(*dialed);
-      } else {
-        failure = dialed.status();
-      }
-    }
-    if (failure.ok() && t1 == nullptr) {
-      auto dialed = options.factory1();
-      if (dialed.ok()) {
-        t1 = std::move(*dialed);
-      } else {
-        failure = dialed.status();
-      }
-    }
-    if (failure.ok()) {
-      failure = session.AdoptConnections(std::move(t0), std::move(t1),
-                                         options.factory0, options.factory1,
-                                         /*reestablish=*/false);
-      if (failure.ok()) return session;
-    }
-    t0.reset();  // never reuse a connection from a failed attempt
-    t1.reset();
-    if (!net::IsRetryable(failure)) return failure;
-    if (attempt >= max_attempts || !can_redial) return failure;
-    backoff.SleepBeforeRetry();
-    session.AccountRetry();
-  }
+  LW_RETURN_IF_ERROR(session.Open(std::move(options)));
+  return session;
 }
 
-net::Deadline PirSession::OpDeadline() const {
-  return MakeDeadline(op_timeout_, clock_);
-}
-
-net::Deadline PirSession::HelloDeadline() const {
-  return MakeDeadline(hello_timeout_, clock_);
-}
-
-Result<ServerHello> PirSession::HelloOn(net::Transport& transport) {
-  HelloBytes bytes;
-  auto hello =
-      HelloExchange(transport, Mode::kTwoServerPir, HelloDeadline(), bytes);
-  AccountSent(bytes.sent);
-  AccountReceived(bytes.received);
-  return hello;
-}
-
-Status PirSession::AdoptConnections(std::unique_ptr<net::Transport> t0,
-                                    std::unique_ptr<net::Transport> t1,
-                                    net::TransportFactory dial0,
-                                    net::TransportFactory dial1,
-                                    bool reestablish) {
-  const auto fail = [&](Status s) {
-    t0->Close();
-    t1->Close();
-    return s;
-  };
-  auto h0r = HelloOn(*t0);
-  if (!h0r.ok()) return fail(h0r.status());
-  auto h1r = HelloOn(*t1);
-  if (!h1r.ok()) return fail(h1r.status());
-  ServerHello h0 = std::move(*h0r);
-  ServerHello h1 = std::move(*h1r);
-
+Status PirSession::Accept(std::vector<Slot>& slots,
+                          std::vector<ServerHello>& hellos, bool reestablish) {
+  ServerHello& h0 = hellos[0];
+  ServerHello& h1 = hellos[1];
   if (h0.server_role == h1.server_role) {
-    return fail(FailedPreconditionError(
+    return FailedPreconditionError(
         "both connections reached the same logical server; the "
-        "non-collusion assumption requires distinct trust domains"));
+        "non-collusion assumption requires distinct trust domains");
   }
   if (h0.domain_bits != h1.domain_bits || h0.record_size != h1.record_size ||
       h0.keyword_seed != h1.keyword_seed) {
-    return fail(ProtocolError("servers disagree on universe parameters"));
+    return ProtocolError("servers disagree on universe parameters");
   }
   if (h0.keyword_seed.size() != crypto::kSipHashKeySize) {
-    return fail(ProtocolError("bad keyword seed size"));
+    return ProtocolError("bad keyword seed size");
   }
   if (h0.domain_bits < 1 || h0.domain_bits > dpf::kMaxDomainBits) {
-    return fail(ProtocolError("bad domain_bits"));
+    return ProtocolError("bad domain_bits");
   }
 
   if (reestablish) {
@@ -183,116 +265,26 @@ Status PirSession::AdoptConnections(std::unique_ptr<net::Transport> t0,
     // server again (a flipped or re-announced role after a blip is a
     // misconfiguration or an attack, not a transient).
     if (h0.server_role != 0 || h1.server_role != 1) {
-      return fail(
-          FailedPreconditionError("server roles changed across redial"));
+      return FailedPreconditionError("server roles changed across redial");
     }
     if (h0.domain_bits != domain_bits_ || h0.record_size != record_size_ ||
         h0.keyword_seed != keyword_seed_) {
-      return fail(
-          ProtocolError("universe parameters changed across redial"));
+      return ProtocolError("universe parameters changed across redial");
     }
-  } else {
-    // Order the connections by announced role so key0 goes to role 0.
-    if (h0.server_role != 0) {
-      std::swap(h0, h1);
-      std::swap(t0, t1);
-      std::swap(dial0, dial1);
-    }
-    if (h0.server_role != 0 || h1.server_role != 1) {
-      return fail(ProtocolError("servers announce unknown roles"));
-    }
-    domain_bits_ = h0.domain_bits;
-    record_size_ = h0.record_size;
-    keyword_seed_ = h0.keyword_seed;
+    return Status::Ok();
   }
-
-  link0_ = Link{std::move(t0), std::move(dial0)};
-  link1_ = Link{std::move(t1), std::move(dial1)};
+  // Order the connections by announced role so key0 goes to role 0.
+  if (h0.server_role != 0) {
+    std::swap(h0, h1);
+    std::swap(slots[0], slots[1]);
+  }
+  if (h0.server_role != 0 || h1.server_role != 1) {
+    return ProtocolError("servers announce unknown roles");
+  }
+  domain_bits_ = h0.domain_bits;
+  record_size_ = h0.record_size;
+  keyword_seed_ = h0.keyword_seed;
   return Status::Ok();
-}
-
-bool PirSession::connected() const {
-  return link0_.transport != nullptr && link1_.transport != nullptr;
-}
-
-bool PirSession::CanRedial() const {
-  return static_cast<bool>(link0_.dial) && static_cast<bool>(link1_.dial);
-}
-
-Status PirSession::Redial() {
-  if (!CanRedial()) {
-    return UnavailableError("session disconnected (no redial factory)");
-  }
-  AccountRedial();
-  auto d0 = link0_.dial();
-  if (!d0.ok()) return d0.status();
-  auto d1 = link1_.dial();
-  if (!d1.ok()) {
-    (*d0)->Close();
-    return d1.status();
-  }
-  return AdoptConnections(std::move(*d0), std::move(*d1), link0_.dial,
-                          link1_.dial, /*reestablish=*/true);
-}
-
-void PirSession::DropConnections() {
-  // Drop BOTH connections even if only one faulted: an orphaned in-flight
-  // response on the healthy side would desynchronize request ids for every
-  // later query. The factories survive for redial.
-  for (Link* link : {&link0_, &link1_}) {
-    if (link->transport != nullptr) {
-      link->transport->Close();
-      link->transport.reset();
-    }
-  }
-}
-
-template <typename Op>
-auto PirSession::WithRetries(Op&& op) -> decltype(op(net::Deadline())) {
-  net::Backoff backoff(retry_, BackoffSeed());
-  const int max_attempts = std::max(retry_.max_attempts, 1);
-  for (int attempt = 1;; ++attempt) {
-    Status failure = Status::Ok();
-    if (!connected()) failure = Redial();
-    if (failure.ok()) {
-      auto result = op(OpDeadline());
-      if (result.ok()) return result;
-      failure = StatusOf(result);
-      if (failure.code() == StatusCode::kDeadlineExceeded) {
-        obs::M().client_op_timeouts.Inc();
-      }
-      if (!net::IsRetryable(failure)) return result;
-      DropConnections();
-    }
-    if (!net::IsRetryable(failure)) return failure;
-    if (attempt >= max_attempts || !CanRedial()) return failure;
-    backoff.SleepBeforeRetry();
-    AccountRetry();
-  }
-}
-
-Result<Bytes> PirSession::RoundTrip(net::Transport& transport,
-                                    const Bytes& body,
-                                    std::uint32_t request_id,
-                                    const net::Deadline& deadline) {
-  GetRequest request;
-  request.request_id = request_id;
-  request.body = body;
-  const net::Frame out = Encode(request);
-  LW_RETURN_IF_ERROR(transport.Send(out, deadline));
-  AccountSent(FrameWireSize(out));
-
-  LW_ASSIGN_OR_RETURN(const net::Frame in, transport.Receive(deadline));
-  AccountReceived(FrameWireSize(in));
-  if (in.type == static_cast<std::uint8_t>(MsgType::kError)) {
-    LW_ASSIGN_OR_RETURN(const ErrorMsg e, DecodeError(in));
-    return StatusFromError(e);
-  }
-  LW_ASSIGN_OR_RETURN(const GetResponse response, DecodeGetResponse(in));
-  if (response.request_id != request_id) {
-    return ProtocolError("response id does not match request");
-  }
-  return response.body;
 }
 
 Result<Bytes> PirSession::PrivateGetIndex(std::uint64_t index) {
@@ -305,13 +297,11 @@ Result<Bytes> PirSession::PrivateGetIndex(std::uint64_t index) {
     // Fresh DPF key shares on every attempt: a resent share would let the
     // network link two sightings of the same query (docs/ROBUSTNESS.md).
     const pir::QueryKeys keys = pir::MakeIndexQuery(index, domain_bits_);
-    LW_ASSIGN_OR_RETURN(
-        const Bytes a0,
-        RoundTrip(*link0_.transport, keys.key0.Serialize(), id, deadline));
-    LW_ASSIGN_OR_RETURN(
-        const Bytes a1,
-        RoundTrip(*link1_.transport, keys.key1.Serialize(), id, deadline));
-    AccountRequests(1);
+    LW_ASSIGN_OR_RETURN(const Bytes a0,
+                        RoundTrip(0, id, keys.key0.Serialize(), deadline));
+    LW_ASSIGN_OR_RETURN(const Bytes a1,
+                        RoundTrip(1, id, keys.key1.Serialize(), deadline));
+    Account({.requests = 1});
     if (a0.size() != record_size_ || a1.size() != record_size_) {
       return ProtocolError("server answer has wrong record size");
     }
@@ -320,7 +310,6 @@ Result<Bytes> PirSession::PrivateGetIndex(std::uint64_t index) {
 }
 
 Result<Bytes> PirSession::PrivateGet(std::string_view key) {
-  if (closed_) return FailedPreconditionError("session closed");
   const pir::KeywordMapper mapper(keyword_seed_, domain_bits_);
   LW_ASSIGN_OR_RETURN(const Bytes record, PrivateGetIndex(mapper.IndexOf(key)));
   return pir::InterpretRecord(record, mapper.Fingerprint(key));
@@ -345,66 +334,46 @@ Result<std::vector<Result<Bytes>>> PirSession::PrivateGetBatch(
     std::vector<pir::QueryKeys> queries;
     ids.reserve(total);
     queries.reserve(total);
-    for (const std::string& key : keys) {
-      ids.push_back(next_request_id_++);
-      queries.push_back(
-          pir::MakeIndexQuery(mapper.IndexOf(key), domain_bits_));
-    }
-    for (int i = 0; i < extra_dummies; ++i) {
-      std::uint8_t buf[8];
-      SecureRandomBytes(MutableByteSpan(buf, 8));
+    for (std::size_t i = 0; i < total; ++i) {
       ids.push_back(next_request_id_++);
       queries.push_back(pir::MakeIndexQuery(
-          LoadLE64(buf) & ((std::uint64_t{1} << domain_bits_) - 1),
+          i < keys.size() ? mapper.IndexOf(keys[i]) : RandomIndex(domain_bits_),
           domain_bits_));
     }
 
     // Pipeline: all requests out to both servers before reading anything.
     for (std::size_t i = 0; i < total; ++i) {
-      for (int side = 0; side < 2; ++side) {
-        GetRequest request;
-        request.request_id = ids[i];
-        request.body =
-            (side == 0 ? queries[i].key0 : queries[i].key1).Serialize();
-        const net::Frame out = Encode(request);
-        LW_RETURN_IF_ERROR(
-            (side == 0 ? link0_ : link1_).transport->Send(out, deadline));
-        AccountSent(FrameWireSize(out));
-      }
+      const pir::QueryKeys& q = queries[i];
+      LW_RETURN_IF_ERROR(
+          Send(0, Encode(GetRequest{ids[i], q.key0.Serialize()}), deadline));
+      LW_RETURN_IF_ERROR(
+          Send(1, Encode(GetRequest{ids[i], q.key1.Serialize()}), deadline));
     }
 
     // Collect both servers' responses; they may arrive out of order.
-    const auto collect =
-        [&](net::Transport& t) -> Result<std::map<std::uint32_t, Bytes>> {
-      std::map<std::uint32_t, Bytes> by_id;
-      while (by_id.size() < total) {
-        LW_ASSIGN_OR_RETURN(const net::Frame in, t.Receive(deadline));
-        AccountReceived(FrameWireSize(in));
-        if (in.type == static_cast<std::uint8_t>(MsgType::kError)) {
-          LW_ASSIGN_OR_RETURN(const ErrorMsg e, DecodeError(in));
-          return StatusFromError(e);
-        }
-        LW_ASSIGN_OR_RETURN(const GetResponse response,
-                            DecodeGetResponse(in));
+    std::map<std::uint32_t, Bytes> answers[2];
+    for (std::size_t side = 0; side < 2; ++side) {
+      while (answers[side].size() < total) {
+        LW_ASSIGN_OR_RETURN(const net::Frame in, Receive(side, deadline));
+        LW_ASSIGN_OR_RETURN(GetResponse response, DecodeGetResponse(in));
         if (response.body.size() != record_size_) {
           return ProtocolError("server answer has wrong record size");
         }
-        if (!by_id.emplace(response.request_id, response.body).second) {
+        if (!answers[side]
+                 .emplace(response.request_id, std::move(response.body))
+                 .second) {
           return ProtocolError("duplicate response id");
         }
       }
-      return by_id;
-    };
-    LW_ASSIGN_OR_RETURN(const auto answers0, collect(*link0_.transport));
-    LW_ASSIGN_OR_RETURN(const auto answers1, collect(*link1_.transport));
-    AccountRequests(total);
+    }
+    Account({.requests = total});
 
     BatchResult out;
     out.reserve(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      const auto it0 = answers0.find(ids[i]);
-      const auto it1 = answers1.find(ids[i]);
-      if (it0 == answers0.end() || it1 == answers1.end()) {
+      const auto it0 = answers[0].find(ids[i]);
+      const auto it1 = answers[1].find(ids[i]);
+      if (it0 == answers[0].end() || it1 == answers[1].end()) {
         out.push_back(ProtocolError("missing response for request id"));
         continue;
       }
@@ -421,54 +390,7 @@ Result<std::vector<Result<Bytes>>> PirSession::PrivateGetBatch(
 }
 
 Status PirSession::DummyGet() {
-  std::uint8_t buf[8];
-  SecureRandomBytes(MutableByteSpan(buf, 8));
-  const std::uint64_t index =
-      LoadLE64(buf) & ((std::uint64_t{1} << domain_bits_) - 1);
-  auto r = PrivateGetIndex(index);
-  if (!r.ok()) return r.status();
-  return Status::Ok();
-}
-
-void PirSession::Close() {
-  for (Link* link : {&link0_, &link1_}) {
-    if (link->transport != nullptr) {
-      (void)link->transport->Send(EncodeBye(), net::Deadline::Infinite());
-      link->transport->Close();
-      link->transport.reset();
-    }
-  }
-  closed_ = true;
-}
-
-void PirSession::AccountSent(std::size_t n) {
-  traffic_.bytes_sent += n;
-  if (sink_ != nullptr) sink_->bytes_sent += n;
-  obs::M().client_bytes_sent.Inc(n);
-}
-
-void PirSession::AccountReceived(std::size_t n) {
-  traffic_.bytes_received += n;
-  if (sink_ != nullptr) sink_->bytes_received += n;
-  obs::M().client_bytes_received.Inc(n);
-}
-
-void PirSession::AccountRequests(std::uint64_t n) {
-  traffic_.requests += n;
-  if (sink_ != nullptr) sink_->requests += n;
-  obs::M().client_requests.Inc(n);
-}
-
-void PirSession::AccountRetry() {
-  traffic_.retries += 1;
-  if (sink_ != nullptr) sink_->retries += 1;
-  obs::M().client_retries.Inc();
-}
-
-void PirSession::AccountRedial() {
-  traffic_.redials += 1;
-  if (sink_ != nullptr) sink_->redials += 1;
-  obs::M().client_redials.Inc();
+  return PrivateGetIndex(RandomIndex(domain_bits_)).status();
 }
 
 // ------------------------------------------------------- EnclaveSession
@@ -481,161 +403,44 @@ Result<EnclaveSession> EnclaveSession::Establish(EstablishOptions options) {
     return InvalidArgumentError(
         "EstablishOptions needs a transport or a factory");
   }
-
   EnclaveSession session;
-  session.hello_timeout_ = options.hello_timeout;
-  session.op_timeout_ = options.op_timeout;
-  session.retry_ = options.retry;
-  if (session.retry_.clock == nullptr) session.retry_.clock = options.clock;
-  session.clock_ = options.clock;
-  session.sink_ = options.traffic_sink;
-  session.dial_ = options.factory0;
-
-  std::unique_ptr<net::Transport> t = std::move(options.transport0);
-  net::Backoff backoff(session.retry_, BackoffSeed());
-  const int max_attempts = std::max(session.retry_.max_attempts, 1);
-  for (int attempt = 1;; ++attempt) {
-    Status failure = Status::Ok();
-    if (t == nullptr) {
-      auto dialed = options.factory0();
-      if (dialed.ok()) {
-        t = std::move(*dialed);
-      } else {
-        failure = dialed.status();
-      }
-    }
-    if (failure.ok()) {
-      failure = session.Adopt(std::move(t), /*reestablish=*/false);
-      if (failure.ok()) return session;
-    }
-    t.reset();
-    if (!net::IsRetryable(failure)) return failure;
-    if (attempt >= max_attempts || !options.factory0) return failure;
-    backoff.SleepBeforeRetry();
-    session.traffic_.retries += 1;
-    if (session.sink_ != nullptr) session.sink_->retries += 1;
-    obs::M().client_retries.Inc();
-  }
+  LW_RETURN_IF_ERROR(session.Open(std::move(options)));
+  return session;
 }
 
-net::Deadline EnclaveSession::OpDeadline() const {
-  return MakeDeadline(op_timeout_, clock_);
-}
-
-net::Deadline EnclaveSession::HelloDeadline() const {
-  return MakeDeadline(hello_timeout_, clock_);
-}
-
-Status EnclaveSession::Adopt(std::unique_ptr<net::Transport> transport,
-                             bool reestablish) {
-  HelloBytes bytes;
-  auto hello_or =
-      HelloExchange(*transport, Mode::kEnclave, HelloDeadline(), bytes);
-  traffic_.bytes_sent += bytes.sent;
-  traffic_.bytes_received += bytes.received;
-  if (sink_ != nullptr) {
-    sink_->bytes_sent += bytes.sent;
-    sink_->bytes_received += bytes.received;
-  }
-  obs::M().client_bytes_sent.Inc(bytes.sent);
-  obs::M().client_bytes_received.Inc(bytes.received);
-  if (!hello_or.ok()) {
-    transport->Close();
-    return hello_or.status();
-  }
-  const ServerHello& hello = *hello_or;
+Status EnclaveSession::Accept(std::vector<Slot>& /*slots*/,
+                              std::vector<ServerHello>& hellos,
+                              bool reestablish) {
+  const ServerHello& hello = hellos[0];
   if (hello.enclave_public_key.size() != crypto::kX25519KeySize) {
-    transport->Close();
     return ProtocolError("bad enclave public key");
   }
   if (reestablish && hello.record_size != record_size_) {
-    transport->Close();
     return ProtocolError("universe parameters changed across redial");
   }
   // A restarted enclave may present a fresh keypair; requests are sealed
   // per-attempt against whatever key the live hello announced, so rotation
   // is safe (attestation of that key is out of scope here).
   record_size_ = hello.record_size;
-  enclave_public_key_ = hello.enclave_public_key;
   enclave_client_ =
       std::make_unique<oram::EnclaveClient>(hello.enclave_public_key);
-  server_ = std::move(transport);
   return Status::Ok();
-}
-
-Status EnclaveSession::Redial() {
-  if (!dial_) {
-    return UnavailableError("session disconnected (no redial factory)");
-  }
-  traffic_.redials += 1;
-  if (sink_ != nullptr) sink_->redials += 1;
-  obs::M().client_redials.Inc();
-  auto dialed = dial_();
-  if (!dialed.ok()) return dialed.status();
-  return Adopt(std::move(*dialed), /*reestablish=*/true);
-}
-
-template <typename Op>
-auto EnclaveSession::WithRetries(Op&& op) -> decltype(op(net::Deadline())) {
-  net::Backoff backoff(retry_, BackoffSeed());
-  const int max_attempts = std::max(retry_.max_attempts, 1);
-  for (int attempt = 1;; ++attempt) {
-    Status failure = Status::Ok();
-    if (server_ == nullptr) failure = Redial();
-    if (failure.ok()) {
-      auto result = op(OpDeadline());
-      if (result.ok()) return result;
-      failure = StatusOf(result);
-      if (failure.code() == StatusCode::kDeadlineExceeded) {
-        obs::M().client_op_timeouts.Inc();
-      }
-      if (!net::IsRetryable(failure)) return result;
-      if (server_ != nullptr) {
-        server_->Close();
-        server_.reset();
-      }
-    }
-    if (!net::IsRetryable(failure)) return failure;
-    if (attempt >= max_attempts || !dial_) return failure;
-    backoff.SleepBeforeRetry();
-    traffic_.retries += 1;
-    if (sink_ != nullptr) sink_->retries += 1;
-    obs::M().client_retries.Inc();
-  }
 }
 
 Result<Bytes> EnclaveSession::PrivateGet(std::string_view key) {
   if (closed_) return FailedPreconditionError("session closed");
-  return WithRetries([&](const net::Deadline& deadline) -> Result<Bytes> {
-    GetRequest request;
-    request.request_id = next_request_id_++;
+  auto sealed = WithRetries([&](const net::Deadline& deadline) {
     // Sealed fresh on every attempt: a new ephemeral key and nonce make the
     // retried ciphertext unlinkable to the first attempt, mirroring the
     // fresh-DPF-share rule in PIR mode.
-    request.body = enclave_client_->SealGetRequest(key);
-    const net::Frame out = Encode(request);
-    LW_RETURN_IF_ERROR(server_->Send(out, deadline));
-    traffic_.bytes_sent += FrameWireSize(out);
-    if (sink_ != nullptr) sink_->bytes_sent += FrameWireSize(out);
-    obs::M().client_bytes_sent.Inc(FrameWireSize(out));
-
-    LW_ASSIGN_OR_RETURN(const net::Frame in, server_->Receive(deadline));
-    traffic_.bytes_received += FrameWireSize(in);
-    if (sink_ != nullptr) sink_->bytes_received += FrameWireSize(in);
-    obs::M().client_bytes_received.Inc(FrameWireSize(in));
-    if (in.type == static_cast<std::uint8_t>(MsgType::kError)) {
-      LW_ASSIGN_OR_RETURN(const ErrorMsg e, DecodeError(in));
-      return StatusFromError(e);
-    }
-    LW_ASSIGN_OR_RETURN(const GetResponse response, DecodeGetResponse(in));
-    if (response.request_id != request.request_id) {
-      return ProtocolError("response id does not match request");
-    }
-    traffic_.requests += 1;
-    if (sink_ != nullptr) sink_->requests += 1;
-    obs::M().client_requests.Inc();
-    return enclave_client_->OpenResponse(response.body);
+    return RoundTrip(0, next_request_id_++,
+                     enclave_client_->SealGetRequest(key), deadline);
   });
+  if (!sealed.ok()) return sealed.status();
+  Account({.requests = 1});
+  // Opened after the attempt: a miss (NOT_FOUND) is the key's outcome, not
+  // a failed exchange, so it keeps the connection.
+  return enclave_client_->OpenResponse(*sealed);
 }
 
 Result<std::vector<Result<Bytes>>> EnclaveSession::PrivateGetBatch(
@@ -660,7 +465,6 @@ Result<std::vector<Result<Bytes>>> EnclaveSession::PrivateGetBatch(
 }
 
 Status EnclaveSession::DummyGet() {
-  if (closed_) return FailedPreconditionError("session closed");
   // A fetch for a random never-published key: the enclave's access pattern
   // and response are indistinguishable from a hit.
   const Bytes r = SecureRandom(16);
@@ -671,15 +475,6 @@ Status EnclaveSession::DummyGet() {
     return result.status();
   }
   return Status::Ok();
-}
-
-void EnclaveSession::Close() {
-  if (server_ != nullptr) {
-    (void)server_->Send(EncodeBye(), net::Deadline::Infinite());
-    server_->Close();
-    server_.reset();
-  }
-  closed_ = true;
 }
 
 }  // namespace lw::zltp

@@ -3,7 +3,8 @@
 // Session is the mode-agnostic interface the browser stack programs
 // against: keyword private-GET, pipelined batch, and a dummy GET that is
 // indistinguishable on the wire (used to pad every page load to a fixed
-// fetch count, paper §3.2). Two implementations:
+// fetch count, paper §3.2). Two implementations, over one core
+// (LinkedSession) that owns their connections:
 //
 //  * PirSession — two connections to the two non-colluding logical servers;
 //    implements the full keyword private-GET: hash the key into the DPF
@@ -13,12 +14,13 @@
 //  * EnclaveSession — the single-server enclave-mode equivalent.
 //
 // Both are resilient (docs/ROBUSTNESS.md): operations carry per-attempt
-// deadlines, retryable failures (UNAVAILABLE, DEADLINE_EXCEEDED) trigger
-// jittered-backoff retries, and — when EstablishOptions supplies transport
-// factories — dead connections are redialed and the hello re-run before
-// the retry. A retried private GET always regenerates fresh DPF key
-// shares; resending captured bytes would let the network correlate two
-// sightings of one query, which a fresh share cannot.
+// deadlines, a failed attempt drops the session's connections, retryable
+// failures (UNAVAILABLE, DEADLINE_EXCEEDED) trigger jittered-backoff
+// retries, and — when EstablishOptions supplies transport factories — the
+// connections are redialed and the hello re-run before the next attempt.
+// A retried private GET always regenerates fresh DPF key shares; resending
+// captured bytes would let the network correlate two sightings of one
+// query, which a fresh share cannot.
 #pragma once
 
 #include <chrono>
@@ -84,8 +86,9 @@ class Session {
 //
 // Transports and factories: each server slot needs at least one of the
 // two. If only the factory is given, the initial dial goes through it too;
-// if only the transport is given, the session cannot redial — a dead
-// connection then fails the session permanently (after in-place retries).
+// if only the transport is given, the session can neither retry nor
+// redial: the first failed op drops the connections, and every later op
+// fails UNAVAILABLE.
 // Every factory invocation must reach the same logical endpoint: on redial
 // the hello is re-run and the announced role and universe parameters must
 // match what the session first established.
@@ -123,7 +126,83 @@ struct EstablishOptions {
   }
 };
 
-class PirSession final : public Session {
+// The half of a session both modes share. It owns one slot per server (two
+// for PIR, one for the enclave), each a connection and the factory that
+// redials it, and runs establish, the hello, the GET frames, retry and
+// redial, Close and the traffic accounting once for both modes. A mode adds
+// its hello check (Accept) and its queries and answers.
+class LinkedSession : public Session {
+ public:
+  const TrafficCounters& traffic() const override { return traffic_; }
+
+  void Close() override;
+
+ protected:
+  struct Slot {
+    std::unique_ptr<net::Transport> transport;
+    net::TransportFactory dial;
+  };
+
+  LinkedSession(Mode mode, std::size_t slots) : mode_(mode), slots_(slots) {}
+
+  // Takes the options' connections, factories and knobs, then connects
+  // every slot, retrying under the policy while every slot has a factory.
+  Status Open(EstablishOptions options);
+
+  // The mode's check of one hello per slot (version and mode already
+  // checked). On first establish it records the universe parameters and
+  // may reorder `slots`; on redial (`reestablish`) each slot must
+  // re-announce what was recorded.
+  virtual Status Accept(std::vector<Slot>& slots,
+                        std::vector<ServerHello>& hellos,
+                        bool reestablish) = 0;
+
+  // Runs `op` under the retry policy: per-attempt deadline, backoff between
+  // attempts, redial before each retry. Any failed attempt drops every
+  // connection, since it may leave replies owed on the wire; a per-key
+  // outcome must therefore be read after the attempt, not fail it. `op`
+  // must make fresh queries on every call.
+  template <typename Op>
+  auto WithRetries(Op&& op) -> decltype(op(net::Deadline()));
+
+  // One frame out on `slot`, counted in traffic().
+  Status Send(std::size_t slot, const net::Frame& frame,
+              const net::Deadline& deadline);
+  // The next frame on `slot`, counted in traffic(); an error frame is
+  // returned as its status.
+  Result<net::Frame> Receive(std::size_t slot, const net::Deadline& deadline);
+  // One GetRequest out on `slot`, and the body of its GetResponse.
+  Result<Bytes> RoundTrip(std::size_t slot, std::uint32_t request_id,
+                          Bytes body, const net::Deadline& deadline);
+
+  // Adds `delta` to traffic(), to the sink and to the lw_client_* counters.
+  void Account(const TrafficCounters& delta);
+
+  bool closed_ = false;
+  std::uint32_t next_request_id_ = 1;
+
+ private:
+  net::Deadline After(std::chrono::nanoseconds timeout) const;
+  Result<ServerHello> Hello(std::size_t slot);
+  // Dials every slot without a connection, hellos each and runs Accept; on
+  // failure drops every connection.
+  Status Connect(bool reestablish);
+  bool connected() const;
+  bool CanRedial() const;
+  Status Redial();
+  void DropConnections();
+
+  Mode mode_;
+  std::vector<Slot> slots_;
+  std::chrono::nanoseconds hello_timeout_{0};
+  std::chrono::nanoseconds op_timeout_{0};
+  net::RetryPolicy retry_ = net::RetryPolicy::NoRetry();
+  Clock* clock_ = nullptr;
+  TrafficCounters* sink_ = nullptr;
+  TrafficCounters traffic_;
+};
+
+class PirSession final : public LinkedSession {
  public:
   // Performs the hello exchange on both connections. Fails unless the two
   // servers agree on blob size / domain / keyword seed and present distinct
@@ -152,68 +231,20 @@ class PirSession final : public Session {
 
   Status DummyGet() override;
 
-  const TrafficCounters& traffic() const override { return traffic_; }
-
-  void Close() override;
-
  private:
-  PirSession() = default;
+  PirSession() : LinkedSession(Mode::kTwoServerPir, 2) {}
 
-  net::Deadline OpDeadline() const;
-  net::Deadline HelloDeadline() const;
-  Result<ServerHello> HelloOn(net::Transport& transport);
-
-  // Hellos both transports and installs them. On first establish the pair
-  // is ordered by announced role; on redial (`reestablish`) each slot must
-  // re-announce the role and universe parameters recorded at establish.
-  Status AdoptConnections(std::unique_ptr<net::Transport> t0,
-                          std::unique_ptr<net::Transport> t1,
-                          net::TransportFactory dial0,
-                          net::TransportFactory dial1, bool reestablish);
-
-  bool connected() const;
-  bool CanRedial() const;
-  Status Redial();
-  void DropConnections();
-
-  // Runs `op` under the retry policy: per-attempt deadline, backoff between
-  // attempts, redial (fresh connections + hello) before each retry. `op`
-  // must generate fresh queries on every call.
-  template <typename Op>
-  auto WithRetries(Op&& op) -> decltype(op(net::Deadline()));
-
-  Result<Bytes> RoundTrip(net::Transport& transport, const Bytes& body,
-                          std::uint32_t request_id,
-                          const net::Deadline& deadline);
-
-  void AccountSent(std::size_t n);
-  void AccountReceived(std::size_t n);
-  void AccountRequests(std::uint64_t n);
-  void AccountRetry();
-  void AccountRedial();
-
-  struct Link {
-    std::unique_ptr<net::Transport> transport;
-    net::TransportFactory dial;
-  };
-  Link link0_;  // role 0
-  Link link1_;  // role 1
-  bool closed_ = false;
+  // On first establish the slots are ordered by announced role; on redial
+  // each slot must re-announce its role and the universe parameters.
+  Status Accept(std::vector<Slot>& slots, std::vector<ServerHello>& hellos,
+                bool reestablish) override;
 
   int domain_bits_ = 0;
   std::size_t record_size_ = 0;
   Bytes keyword_seed_;
-  std::uint32_t next_request_id_ = 1;
-
-  std::chrono::nanoseconds hello_timeout_{0};
-  std::chrono::nanoseconds op_timeout_{0};
-  net::RetryPolicy retry_ = net::RetryPolicy::NoRetry();
-  Clock* clock_ = nullptr;
-  TrafficCounters* sink_ = nullptr;
-  TrafficCounters traffic_;
 };
 
-class EnclaveSession final : public Session {
+class EnclaveSession final : public LinkedSession {
  public:
   // Single-server: uses the transport0/factory0 slots; setting the *1
   // slots is an error.
@@ -237,36 +268,16 @@ class EnclaveSession final : public Session {
   // and response are indistinguishable from a hit.
   Status DummyGet() override;
 
-  const TrafficCounters& traffic() const override { return traffic_; }
-
-  void Close() override;
-
  private:
-  EnclaveSession() = default;
+  EnclaveSession() : LinkedSession(Mode::kEnclave, 1) {}
 
-  net::Deadline OpDeadline() const;
-  net::Deadline HelloDeadline() const;
-  Status Adopt(std::unique_ptr<net::Transport> transport, bool reestablish);
-  Status Redial();
-
-  template <typename Op>
-  auto WithRetries(Op&& op) -> decltype(op(net::Deadline()));
-
-  std::unique_ptr<net::Transport> server_;
-  net::TransportFactory dial_;
-  bool closed_ = false;
+  // Takes the enclave's 32-byte key into a fresh EnclaveClient; on redial
+  // the record size must be unchanged.
+  Status Accept(std::vector<Slot>& slots, std::vector<ServerHello>& hellos,
+                bool reestablish) override;
 
   std::unique_ptr<oram::EnclaveClient> enclave_client_;
-  Bytes enclave_public_key_;
   std::size_t record_size_ = 0;
-  std::uint32_t next_request_id_ = 1;
-
-  std::chrono::nanoseconds hello_timeout_{0};
-  std::chrono::nanoseconds op_timeout_{0};
-  net::RetryPolicy retry_ = net::RetryPolicy::NoRetry();
-  Clock* clock_ = nullptr;
-  TrafficCounters* sink_ = nullptr;
-  TrafficCounters traffic_;
 };
 
 }  // namespace lw::zltp

@@ -19,7 +19,7 @@
 //   ServeOnReactor  TCP listeners on a net::Reactor: frames decode on the
 //                   loop and replies queue with Reactor::Send.
 //   ServeDetached   any net::Transport (in-memory pairs, the net/faulty.h
-//                   decorators, lightweb_serve --serve-mode=threaded) on the
+//                   decorators, accepted TCP connections) on the
 //                   core's net::TransportPump (net/pump.h): a reader and a
 //                   writer thread per connection, so a completion callback
 //                   never blocks on the peer.

@@ -555,8 +555,8 @@ zltp::PirStore MakeStore() {
 TEST(Reactor, PirRepliesMatchThreadedServing) {
   // The same store, served both ways; private GETs for the same indices
   // must produce byte-identical records. This is the A/B contract that
-  // makes --serve-mode an implementation detail rather than a behavior
-  // change (docs/ARCHITECTURE.md).
+  // makes the serving driver an implementation detail rather than a
+  // behavior change (docs/ARCHITECTURE.md).
   zltp::PirStore store = MakeStore();
   {
     Rng rng(5);

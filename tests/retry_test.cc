@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -106,6 +107,16 @@ struct TwoServers {
   zltp::ZltpPirServer server1;
 };
 
+// A traffic sink sees exactly what the session counts, field by field.
+void ExpectSinkMirrorsSession(const zltp::TrafficCounters& sink,
+                              const zltp::TrafficCounters& session) {
+  EXPECT_EQ(sink.bytes_sent, session.bytes_sent);
+  EXPECT_EQ(sink.bytes_received, session.bytes_received);
+  EXPECT_EQ(sink.requests, session.requests);
+  EXPECT_EQ(sink.retries, session.retries);
+  EXPECT_EQ(sink.redials, session.redials);
+}
+
 // ------------------------------------------------------- establish retry
 
 TEST(SessionRetryTest, EstablishRetriesFailedDial) {
@@ -184,6 +195,8 @@ TEST(SessionRetryTest, GetRetriesAfterCrashWithFreshDpfShares) {
   options.retry.max_attempts = 3;
   options.retry.jitter = 0.0;
   options.clock = &fake;
+  zltp::TrafficCounters sink;
+  options.traffic_sink = &sink;
 
   auto session = zltp::PirSession::Establish(std::move(options));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -194,6 +207,7 @@ TEST(SessionRetryTest, GetRetriesAfterCrashWithFreshDpfShares) {
   EXPECT_EQ(session->traffic().retries, 1u);
   EXPECT_EQ(session->traffic().redials, 1u);
   EXPECT_EQ(session->traffic().requests, 1u) << "one completed private GET";
+  ExpectSinkMirrorsSession(sink, session->traffic());
 
   // The wire saw the query twice (once per attempt). The two sightings
   // must be unlinkable: fresh DPF key shares, not a resend of the same
@@ -275,6 +289,79 @@ TEST(SessionRetryTest, RedialReverifiesServerRoles) {
   EXPECT_FALSE(value.ok());
   EXPECT_EQ(value.status().code(), StatusCode::kFailedPrecondition)
       << value.status().ToString();
+}
+
+// Turns the first GetResponse it receives into the error frame a server
+// sends for a shed request (RESOURCE_EXHAUSTED, with no request id); the
+// replies after it pass through as sent.
+class ShedFirstReply final : public net::Transport {
+ public:
+  explicit ShedFirstReply(std::unique_ptr<net::Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  using net::Transport::Receive;
+  using net::Transport::Send;
+
+  Status Send(const net::Frame& frame,
+              const net::Deadline& deadline) override {
+    return inner_->Send(frame, deadline);
+  }
+  Result<net::Frame> Receive(const net::Deadline& deadline) override {
+    LW_ASSIGN_OR_RETURN(net::Frame frame, inner_->Receive(deadline));
+    if (!shed_ && frame.type == static_cast<std::uint8_t>(
+                                    zltp::MsgType::kGetResponse)) {
+      shed_ = true;
+      return zltp::Encode(zltp::ErrorMsg{StatusCode::kResourceExhausted,
+                                         "batch queue over queue_limit"});
+    }
+    return frame;
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  bool shed_ = false;
+};
+
+TEST(SessionRetryTest, ShedReplyInBatchDoesNotReachTheNextOp) {
+  TwoServers servers;
+  const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(servers.store.Publish(key, ToBytes("v-" + key)).ok());
+  }
+
+  auto dials0 = std::make_shared<std::atomic<int>>(0);
+  net::TransportFactory real_dial0 = servers.Dial(0);
+  zltp::EstablishOptions options;
+  // The first role-0 connection sheds the batch's first reply; the batch's
+  // other replies are still on that wire when the batch fails.
+  options.factory0 =
+      [dials0, real_dial0]() -> Result<std::unique_ptr<net::Transport>> {
+    LW_ASSIGN_OR_RETURN(std::unique_ptr<net::Transport> t, real_dial0());
+    if (dials0->fetch_add(1) == 0) {
+      return std::unique_ptr<net::Transport>(
+          std::make_unique<ShedFirstReply>(std::move(t)));
+    }
+    return t;
+  };
+  options.factory1 = servers.Dial(1);
+
+  auto session = zltp::PirSession::Establish(std::move(options));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  auto batch = session->PrivateGetBatch(keys);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kResourceExhausted)
+      << batch.status().ToString();
+
+  // The failed batch dropped both connections, so the next op redials
+  // instead of reading the batch's leftover replies as its own.
+  auto value = session->PrivateGet("k2");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(ToString(*value), "v-k2");
+  EXPECT_EQ(session->traffic().redials, 1u);
+  EXPECT_EQ(session->traffic().retries, 0u);
+  session->Close();
 }
 
 // ------------------------------------------------- deadlines, fake clock
@@ -399,6 +486,8 @@ TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {
   options.retry.max_attempts = 3;
   options.retry.jitter = 0.0;
   options.clock = &fake;
+  zltp::TrafficCounters sink;
+  options.traffic_sink = &sink;
 
   auto session = zltp::EnclaveSession::Establish(std::move(options));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -407,6 +496,34 @@ TEST(SessionRetryTest, EnclaveSessionRedialsAndReseals) {
   EXPECT_EQ(ToString(*value), "landlocked");
   EXPECT_EQ(session->traffic().retries, 1u);
   EXPECT_EQ(session->traffic().redials, 1u);
+  ExpectSinkMirrorsSession(sink, session->traffic());
+  session->Close();
+}
+
+TEST(SessionRetryTest, EnclaveMissKeepsTheConnection) {
+  oram::EnclaveConfig config;
+  config.capacity = 64;
+  config.value_size = 128;
+  oram::MemoryStorage storage(oram::KvEnclave::RequiredStorageBuckets(config));
+  oram::KvEnclave enclave(config, storage);
+  ASSERT_TRUE(enclave.Put("wiki/Uganda", ToBytes("landlocked")).ok());
+  zltp::ZltpEnclaveServer server(enclave);
+  net::TransportPair p = net::CreateInMemoryPair();
+  server.ServeConnectionDetached(std::move(p.b));
+
+  // No factory: had a miss dropped the connection, every later op would
+  // fail UNAVAILABLE.
+  auto session = zltp::EnclaveSession::Establish(
+      zltp::EstablishOptions::FromTransports(std::move(p.a)));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_TRUE(session->DummyGet().ok());
+  auto miss = session->PrivateGet("wiki/Atlantis");
+  EXPECT_EQ(miss.status().code(), StatusCode::kNotFound)
+      << miss.status().ToString();
+  auto hit = session->PrivateGet("wiki/Uganda");
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(ToString(*hit), "landlocked");
+  EXPECT_EQ(session->traffic().redials, 0u);
   session->Close();
 }
 

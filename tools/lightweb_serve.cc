@@ -14,7 +14,6 @@
 //
 // Usage:
 //   lightweb_serve <base_port> [--snapshot state.json]
-//                  [--serve-mode=reactor|threaded]
 //                  [--metrics-port=N] [--metrics-dump=PATH]
 //                  [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]
 //                  [--deadline-ms=N] [--threads=N]
@@ -25,14 +24,8 @@
 // files, and the final universe (snapshot + newly loaded sites) is written
 // back — simple persistence across restarts.
 //
-// Serving model (docs/ARCHITECTURE.md):
-//   --serve-mode=reactor   one epoll loop multiplexes all four endpoints;
-//                          complete frames hand off to the batch scheduler
-//                          (default)
-//   --serve-mode=threaded  a blocking accept loop per endpoint; each
-//                          connection runs on a reader and a writer thread
-//                          (the endpoint core's transport pump, the A/B
-//                          baseline the reactor is benchmarked against)
+// Serving model (docs/ARCHITECTURE.md): one epoll loop multiplexes all
+// four endpoints; complete frames hand off to the batch scheduler.
 //
 // Batching / data-plane knobs (docs/PERFORMANCE.md):
 //   --max-batch=N     queries fused per scan pass (default 16)
@@ -141,7 +134,6 @@ bool LoadSite(lightweb::Universe& universe, const std::string& path) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <base_port> [--snapshot state.json]\n"
-               "         [--serve-mode=reactor|threaded]\n"
                "         [--metrics-port=N] [--metrics-dump=PATH]\n"
                "         [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]\n"
                "         [--deadline-ms=N] [--threads=N]\n"
@@ -150,19 +142,6 @@ int Usage(const char* argv0) {
                "         <site.json> ...\n",
                argv0);
   return 2;
-}
-
-// Accept loop: the server pumps every accepted connection on its own
-// threads.
-void AcceptLoop(net::TcpListener listener, zltp::ZltpPirServer& server,
-                const char* label) {
-  std::printf("listening on 127.0.0.1:%u (%s)\n", listener.bound_port(),
-              label);
-  for (;;) {
-    auto conn = listener.Accept();
-    if (!conn.ok()) return;
-    server.ServeConnectionDetached(std::move(*conn));
-  }
 }
 
 }  // namespace
@@ -178,7 +157,6 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   std::string metrics_dump_path;
   int metrics_port = -1;  // -1 = disabled; 0 = ephemeral port
-  bool use_reactor = true;
   zltp::ServerOptions server_options;
   std::vector<std::string> site_files;
   for (int i = 2; i < argc; ++i) {
@@ -226,16 +204,6 @@ int main(int argc, char** argv) {
       }
       server_options.batch_config.deadline_budget =
           std::chrono::milliseconds(v);
-    } else if (arg.rfind("--serve-mode=", 0) == 0) {
-      const std::string mode = arg.substr(13);
-      if (mode == "reactor") {
-        use_reactor = true;
-      } else if (mode == "threaded") {
-        use_reactor = false;
-      } else {
-        std::fprintf(stderr, "bad --serve-mode (want reactor|threaded)\n");
-        return 2;
-      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       server_options.num_threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--scan-kernel=", 0) == 0) {
@@ -327,41 +295,10 @@ int main(int argc, char** argv) {
                                  {&code1, "code role 1"},
                                  {&data0, "data role 0"},
                                  {&data1, "data role 1"}};
-  if (use_reactor) {
-    // One epoll loop owns all four listening sockets; each complete frame
-    // hands off to the endpoint server's batch scheduler, whose admission
-    // queue — not the kernel thread scheduler — decides what runs next.
-    net::Reactor reactor;
-    for (int i = 0; i < 4; ++i) {
-      auto listener =
-          net::TcpListener::Listen(static_cast<std::uint16_t>(base_port + i));
-      if (!listener.ok()) {
-        std::fprintf(stderr, "listen %d: %s\n", base_port + i,
-                     listener.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("listening on 127.0.0.1:%u (%s, reactor)\n",
-                  listener->bound_port(), endpoints[i].label);
-      const Status s =
-          endpoints[i].server->ServeOnReactor(reactor, std::move(*listener));
-      if (!s.ok()) {
-        std::fprintf(stderr, "serve %d: %s\n", base_port + i,
-                     s.ToString().c_str());
-        return 1;
-      }
-    }
-    if (const Status s = reactor.Start(); !s.ok()) {
-      std::fprintf(stderr, "reactor: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d "
-                "<domain/path>\n",
-                base_port);
-    reactor.Join();
-    return 0;
-  }
-
-  std::vector<std::thread> loops;
+  // One epoll loop owns all four listening sockets; each complete frame
+  // hands off to the endpoint server's batch scheduler, whose admission
+  // queue — not the kernel thread scheduler — decides what runs next.
+  net::Reactor reactor;
   for (int i = 0; i < 4; ++i) {
     auto listener =
         net::TcpListener::Listen(static_cast<std::uint16_t>(base_port + i));
@@ -370,12 +307,22 @@ int main(int argc, char** argv) {
                    listener.status().ToString().c_str());
       return 1;
     }
-    loops.emplace_back(AcceptLoop, std::move(*listener),
-                       std::ref(*endpoints[i].server), endpoints[i].label);
+    std::printf("listening on 127.0.0.1:%u (%s)\n",
+                listener->bound_port(), endpoints[i].label);
+    const Status s =
+        endpoints[i].server->ServeOnReactor(reactor, std::move(*listener));
+    if (!s.ok()) {
+      std::fprintf(stderr, "serve %d: %s\n", base_port + i,
+                   s.ToString().c_str());
+      return 1;
+    }
   }
-  std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d "
-              "<domain/path>\n",
+  if (const Status s = reactor.Start(); !s.ok()) {
+    std::fprintf(stderr, "reactor: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d <domain/path>\n",
               base_port);
-  for (auto& t : loops) t.join();
+  reactor.Join();
   return 0;
 }
