@@ -8,11 +8,15 @@
 // We verify that claim directly: per-data-server DPF time with S shards
 // should equal a full evaluation over a domain 2^d / S, and the front-end's
 // top-of-tree expansion should be cheap compared to the data servers' work.
+// These rows time the reference evaluators (dpf::EvalSubtree, EvalFull),
+// which write point-order bit vectors; a served pass evaluates leaves
+// inside its sweep instead (E6b).
 //
 // E6b — a shard's co-riders. Every GET sends every shard one sub-tree
 // query; the shard answers the queries queued behind a pass together, with
-// ShardDataServer::AnswerBatch: each key's sub-tree expansion, then one
-// pass over the shard's records (§5.1's batching inside §5.2's shard). The
+// ShardDataServer::AnswerBatch: one pass over the shard's records that
+// expands the keys bucket by bucket as it sweeps (§5.1's batching inside
+// §5.2's shard; the d = 20 shard has 2^4 buckets). The
 // sweep prints the shard's cost per GET at B co-riders; --json archives it
 // as shard_batch/B=<B>/threads=<N> rows whose ns_per_op is per GET.
 // --smoke shrinks the 1 GiB shard (2^18 x 4 KiB) to 256 MiB.

@@ -29,30 +29,41 @@ constexpr std::size_t kRecordSize = 4096;
 BenchFlags g_flags;
 JsonRecorder g_json;
 
-// DPF full-domain evaluation cost vs domain size (the "64 ms" component).
+// DPF evaluation cost vs domain size (the "64 ms" component): every leaf of
+// the domain, one bucket's sub-tree at a time and untransposed, as the scan
+// pass evaluates a key (pir::BlobDatabase::AnswerBatch).
 void BM_DpfFullEval(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   const dpf::KeyPair pair = dpf::Generate(123, d);
+  const dpf::SubtreeKey root = dpf::SplitForShards(pair.key0, 0).front();
+  const int split = pir::BucketBits(d);
+  std::vector<std::uint64_t> leaves(std::size_t{2}
+                                    << (dpf::TreeDepth(d) - split));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dpf::EvalFull(pair.key0));
+    const dpf::SplitRoots roots = dpf::ExpandRoots(root, split);
+    for (std::size_t s = 0; s < roots.ts.size(); ++s) {
+      dpf::EvalLeaves(root, split, roots.seeds.data() + s * dpf::kSeedSize,
+                      roots.ts[s], leaves.data());
+      benchmark::DoNotOptimize(leaves.data());
+    }
   }
   state.counters["leaves"] = static_cast<double>(std::uint64_t{1} << d);
 }
 BENCHMARK(BM_DpfFullEval)->Arg(16)->Arg(18)->Arg(20)->Arg(22)
     ->Unit(benchmark::kMillisecond);
 
-// Data-scan cost vs stored bytes (the "103 ms" component).
+// One query's pass vs stored bytes (the "103 ms" component, with the
+// pass's in-sweep DPF expansion).
 void BM_DataScan(benchmark::State& state) {
   const std::size_t records = static_cast<std::size_t>(state.range(0));
   const int d = 22;
   const pir::BlobDatabase db = BuildShard(d, kRecordSize, records);
-  // Scan with a fixed precomputed selection vector: isolates the scan.
   const pir::QueryKeys q = pir::MakeIndexQuery(1, d);
-  const dpf::BitVector bits = dpf::EvalFull(q.key0);
-  Bytes answer(kRecordSize);
+  const std::vector<dpf::SubtreeKey> keys = dpf::SplitForShards(q.key0, 0);
+  std::vector<Bytes> answers;
   for (auto _ : state) {
-    db.Answer(bits, answer);
-    benchmark::DoNotOptimize(answer.data());
+    db.AnswerBatch(keys, answers);
+    benchmark::DoNotOptimize(answers.data());
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) *
@@ -63,20 +74,20 @@ void BM_DataScan(benchmark::State& state) {
 BENCHMARK(BM_DataScan)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 
-// Sharded scan: rows split across workers with private accumulators, then
-// a tree reduction (args: records, pool threads).
+// Sharded pass: row chunks split across workers with private accumulators,
+// then a tree reduction (args: records, pool threads).
 void BM_DataScanParallel(benchmark::State& state) {
   const std::size_t records = static_cast<std::size_t>(state.range(0));
   const int d = 22;
   const int threads = static_cast<int>(state.range(1));
   const pir::BlobDatabase db = BuildShard(d, kRecordSize, records);
   const pir::QueryKeys q = pir::MakeIndexQuery(1, d);
-  const dpf::BitVector bits = dpf::EvalFull(q.key0);
+  const std::vector<dpf::SubtreeKey> keys = dpf::SplitForShards(q.key0, 0);
   ThreadPool pool(threads);
-  Bytes answer(kRecordSize);
+  std::vector<Bytes> answers;
   for (auto _ : state) {
-    db.Answer(bits, answer, &pool);
-    benchmark::DoNotOptimize(answer.data());
+    db.AnswerBatch(keys, answers, &pool);
+    benchmark::DoNotOptimize(answers.data());
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) *

@@ -11,6 +11,7 @@
 #include "dpf/dpf.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pir/blob_db.h"
 #include "pir/two_server.h"
 #include "util/rand.h"
@@ -141,10 +142,13 @@ inline pir::BlobDatabase BuildShard(int domain_bits, std::size_t record_size,
   return db;
 }
 
-// One private-GET worth of server work, timed in parts. A non-null `pool`
-// runs the scan through the parallel path the server uses; the key expands
-// serially, as it does on the server (which parallelizes across a batch's
-// keys instead).
+// One private-GET worth of server work: one pass over the shard, which
+// expands the key inside the sweep (pir::BlobDatabase::AnswerBatch). A
+// non-null `pool` runs the pass through the parallel path the server uses.
+// dpf_ms is the pass's in-pass expansion, read from its stage sink; with a
+// pool that sum over row shards is divided by the pool's threads, an
+// estimate of its share of the wall time. scan_ms is the rest of the pass,
+// so total_ms() is the pass's wall time.
 struct RequestCost {
   double dpf_ms = 0;
   double scan_ms = 0;
@@ -156,16 +160,18 @@ inline RequestCost MeasureOneRequest(const pir::BlobDatabase& db,
                                      ThreadPool* pool = nullptr) {
   const std::uint64_t target = rng.UniformInt(db.domain_size());
   const pir::QueryKeys q = pir::MakeIndexQuery(target, domain_bits);
+  const std::vector<dpf::SubtreeKey> keys = dpf::SplitForShards(q.key0, 0);
 
+  obs::StageTimings stages;
+  std::vector<Bytes> answers;
+  {
+    const obs::ScopedStageSink sink(&stages);
+    db.AnswerBatch(keys, answers, pool);
+  }
+  const double threads = pool == nullptr ? 1.0 : pool->thread_count();
   RequestCost cost;
-  Stopwatch dpf_timer;
-  const dpf::BitVector bits = dpf::EvalFull(q.key0);
-  cost.dpf_ms = dpf_timer.ElapsedMillis();
-
-  Bytes answer(db.record_size());
-  Stopwatch scan_timer;
-  db.Answer(bits, answer, pool);
-  cost.scan_ms = scan_timer.ElapsedMillis();
+  cost.dpf_ms = static_cast<double>(stages.expand_ns) / 1e6 / threads;
+  cost.scan_ms = static_cast<double>(stages.scan_ns) / 1e6 - cost.dpf_ms;
   return cost;
 }
 

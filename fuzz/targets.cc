@@ -105,7 +105,26 @@ int FuzzDpf(const std::uint8_t* data, std::size_t size) {
   if (const auto sub = dpf::SubtreeKey::Deserialize(span); sub.ok()) {
     LW_CHECK_MSG(sub->Serialize() == original,
                  "subtree key re-serialization mismatch");
-    if (sub->domain_bits <= 12) (void)dpf::EvalSubtree(*sub);
+    if (sub->domain_bits <= 12) {
+      // The scan's evaluator, split as a shard's buckets would split it,
+      // must agree with the reference layout at every point.
+      const dpf::BitVector bits = dpf::EvalSubtree(*sub);
+      const int split = std::min(2, dpf::TreeDepth(sub->domain_bits));
+      const int levels = dpf::TreeDepth(sub->domain_bits) - split;
+      const dpf::SplitRoots roots = dpf::ExpandRoots(*sub, split);
+      std::vector<std::uint64_t> leaves(std::size_t{2} << levels);
+      for (std::uint64_t s = 0; s < (std::uint64_t{1} << split); ++s) {
+        dpf::EvalLeaves(*sub, split, roots.seeds.data() + s * dpf::kSeedSize,
+                        roots.ts[s], leaves.data());
+        for (std::uint64_t j = 0; j < (std::uint64_t{1} << sub->domain_bits >>
+                                       split);
+             ++j) {
+          LW_CHECK_MSG(dpf::LeafBit(leaves.data(), levels, j) ==
+                           dpf::GetBit(bits, s + (j << split)),
+                       "EvalLeaves disagrees with EvalSubtree");
+        }
+      }
+    }
   }
   return 0;
 }

@@ -31,7 +31,8 @@ int FuzzJson(const std::uint8_t* data, std::size_t size);
 int FuzzZltp(const std::uint8_t* data, std::size_t size);
 
 // dpf::DpfKey::Deserialize and dpf::SubtreeKey::Deserialize, plus evaluation
-// consistency (EvalFull vs EvalPoint, SplitForShards) on small domains.
+// consistency (EvalFull vs EvalPoint, SplitForShards, the scan's EvalLeaves
+// vs EvalSubtree) on small domains.
 int FuzzDpf(const std::uint8_t* data, std::size_t size);
 
 // util::Reader driven by an op-script derived from the input, plus a

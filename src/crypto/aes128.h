@@ -42,6 +42,12 @@ class Aes128 {
   // True when the fast AES-NI path is in use (for diagnostics/benchmarks).
   static bool HasHardwareSupport();
 
+  // The expanded key schedule, for kernels that run their own AES-NI
+  // rounds (the DPF level kernel, crypto/prg.cc).
+  const std::uint8_t (&round_keys() const)[11][kAesBlockSize] {
+    return round_keys_;
+  }
+
  private:
   alignas(16) std::uint8_t round_keys_[11][kAesBlockSize];
 };

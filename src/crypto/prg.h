@@ -43,6 +43,25 @@ class DpfPrg {
   void ConvertBatch(const std::uint8_t* seeds, std::size_t n,
                     std::uint8_t* out) const;
 
+  // One DPF tree level in one pass: n parent seeds and control bits ts
+  // become 2n children, laid out [left || right] in next (2n*16 bytes) and
+  // next_t (2n bytes). A child is its side's AES-MMO of the parent with the
+  // control bit split off, XORed with cw_seed and its side's cw_t bit
+  // wherever the parent's control bit is set. On AES-NI four parents' two
+  // sides run as eight blocks in flight; the correction is branch-free.
+  void ExpandLevel(const std::uint8_t* seeds, const std::uint8_t* ts,
+                   std::size_t n, const std::uint8_t cw_seed[kPrgSeedSize],
+                   std::uint8_t cw_t_left, std::uint8_t cw_t_right,
+                   std::uint8_t* next, std::uint8_t* next_t) const;
+
+  // Leaf conversion with the output correction, in one pass: leaf i's 128
+  // output bits, XORed with output_cw wherever ts[i] is set, land as two
+  // little-endian words at out[2i] (bits 0-63) and out[2i + 1] (bits
+  // 64-127).
+  void ConvertLeaves(const std::uint8_t* seeds, const std::uint8_t* ts,
+                     std::size_t n, const std::uint8_t output_cw[kPrgSeedSize],
+                     std::uint64_t* out) const;
+
  private:
   Aes128 aes_left_;
   Aes128 aes_right_;

@@ -88,34 +88,23 @@ void Transpose64(std::uint64_t a[64]) {
 void ExpandLevel(LW_SECRET const std::uint8_t* seeds, const std::uint8_t* ts,
                  std::size_t n, LW_SECRET const CorrectionWord& cw,
                  LW_SECRET std::uint8_t* next, std::uint8_t* next_t) {
-  SharedDpfPrg().ExpandBatch(seeds, n, /*left=*/next,
-                             /*right=*/next + n * kSeedSize,
-                             /*t_left=*/next_t, /*t_right=*/next_t + n);
-  for (std::size_t j = 0; j < n; ++j) {
-    MaskedXorSeed(next + j * kSeedSize, cw.seed, ts[j]);
-    MaskedXorSeed(next + (n + j) * kSeedSize, cw.seed, ts[j]);
-    next_t[j] = static_cast<std::uint8_t>(next_t[j] ^ (ts[j] & cw.t_left));
-    next_t[n + j] =
-        static_cast<std::uint8_t>(next_t[n + j] ^ (ts[j] & cw.t_right));
-  }
+  SharedDpfPrg().ExpandLevel(seeds, ts, n, cw.seed, cw.t_left, cw.t_right,
+                             next, next_t);
 }
 
-// Expands one root down to its leaves and converts them, returning all
-// 2^domain_bits output bits, packed. Ping-pongs two uninitialized buffers:
-// this is the per-request hot loop of a ZLTP server (§5.1's "DPF
-// evaluation").
-BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seed,
-                           std::uint8_t root_t,
-                           LW_SECRET const CorrectionWord* cws,
-                           LW_SECRET const std::uint8_t* output_cw,
-                           int domain_bits) {
-  const int levels = TreeDepth(domain_bits);
+// Expands one root `levels` levels down and converts its leaves into
+// out[0, 2 << levels): leaf p's corrected output bits are out[2p] and
+// out[2p + 1]. Ping-pongs two uninitialized buffers: this is the
+// per-request hot loop of a ZLTP server (§5.1's "DPF evaluation").
+void ExpandLeaves(LW_SECRET const std::uint8_t* root_seed, std::uint8_t root_t,
+                  LW_SECRET const CorrectionWord* cws, int levels,
+                  LW_SECRET const std::uint8_t* output_cw,
+                  std::uint64_t* out) {
   const std::size_t leaves = std::size_t{1} << levels;
-
   // Uninitialized, thread-local scratch reused across queries (std::vector
   // would zero-fill it on every request). Both ping-pong buffers need full
   // capacity: the leaves land in either one depending on the parity of
-  // `levels`, and the conversion writes into the other.
+  // `levels`.
   struct Scratch {
     std::unique_ptr<std::uint8_t[]> data;
     std::size_t size = 0;
@@ -141,23 +130,30 @@ BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seed,
     std::swap(cur, next);
     std::swap(cur_t, next_t);
   }
+  SharedDpfPrg().ConvertLeaves(cur, cur_t, leaves, output_cw, out);
+}
 
-  // Convert the leaves, then transpose 64 leaves × 128 output bits at a
-  // time: row i of the transposed matrix is output bit i of 64 consecutive
-  // leaves, i.e. 64 consecutive points — a whole output word once the tree
-  // has >= 64 leaves, a 2^levels-bit slice of one otherwise.
-  SharedDpfPrg().ConvertBatch(cur, leaves, next);
-  const std::uint64_t out_lo = lw::LoadLE64(output_cw);
-  const std::uint64_t out_hi = lw::LoadLE64(output_cw + 8);
+// The reference layout: all 2^domain_bits output bits of one root, packed
+// in point order. Transposes 64 leaves × 128 output bits at a time: row i
+// of the transposed matrix is output bit i of 64 consecutive leaves, i.e.
+// 64 consecutive points — a whole output word once the tree has >= 64
+// leaves, a 2^levels-bit slice of one otherwise.
+BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seed,
+                           std::uint8_t root_t,
+                           LW_SECRET const CorrectionWord* cws,
+                           LW_SECRET const std::uint8_t* output_cw,
+                           int domain_bits) {
+  const int levels = TreeDepth(domain_bits);
+  const std::size_t leaves = std::size_t{1} << levels;
+  std::vector<std::uint64_t> words(2 * leaves);
+  ExpandLeaves(root_seed, root_t, cws, levels, output_cw, words.data());
   const int bits_per_leaf = 1 << (domain_bits - levels);
   BitVector out(((std::size_t{1} << domain_bits) + 63) / 64, 0);
   for (std::size_t p0 = 0; p0 < leaves; p0 += 64) {
     std::uint64_t lo[64] = {}, hi[64] = {};
     for (std::size_t i = 0; i < std::min<std::size_t>(64, leaves - p0); ++i) {
-      const std::uint64_t mask = 0 - std::uint64_t{cur_t[p0 + i]};
-      const std::uint8_t* leaf = next + (p0 + i) * kSeedSize;
-      lo[i] = lw::LoadLE64(leaf) ^ (out_lo & mask);
-      hi[i] = lw::LoadLE64(leaf + 8) ^ (out_hi & mask);
+      lo[i] = words[2 * (p0 + i)];
+      hi[i] = words[2 * (p0 + i) + 1];
     }
     Transpose64(lo);
     Transpose64(hi);
@@ -169,18 +165,23 @@ BitVector ExpandToLeafBits(LW_SECRET const std::uint8_t* root_seed,
   return out;
 }
 
-// Small-scale expansion keeping seeds AND control bits (used by the
-// front-end's top-of-tree split, where n stays tiny).
-void ExpandKeepingSeeds(LW_SECRET Bytes& seeds, Bytes& ts,
-                        LW_SECRET const CorrectionWord* cws, int levels) {
+// Small-scale expansion keeping seeds AND control bits: the 2^levels roots
+// `levels` below (seed, t), in residue order (the front-end's top-of-tree
+// split and the scan's bucket roots, where n stays small).
+SplitRoots ExpandKeepingSeeds(LW_SECRET const std::uint8_t* seed,
+                              std::uint8_t t,
+                              LW_SECRET const CorrectionWord* cws,
+                              int levels) {
+  SplitRoots roots{Bytes(seed, seed + kSeedSize), Bytes(1, t)};
   for (int level = 0; level < levels; ++level) {
-    Bytes next_seeds(2 * seeds.size());
-    Bytes next_ts(2 * ts.size());
-    ExpandLevel(seeds.data(), ts.data(), ts.size(), cws[level],
-                next_seeds.data(), next_ts.data());
-    seeds = std::move(next_seeds);
-    ts = std::move(next_ts);
+    Bytes next_seeds(2 * roots.seeds.size());
+    Bytes next_ts(2 * roots.ts.size());
+    ExpandLevel(roots.seeds.data(), roots.ts.data(), roots.ts.size(),
+                cws[level], next_seeds.data(), next_ts.data());
+    roots.seeds = std::move(next_seeds);
+    roots.ts = std::move(next_ts);
   }
+  return roots;
 }
 
 }  // namespace
@@ -411,12 +412,9 @@ BitVector EvalFull(const DpfKey& key) {
 std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits) {
   LW_CHECK_MSG(top_bits >= 0 && top_bits <= TreeDepth(key.domain_bits),
                "top_bits out of range");
-  Bytes seeds(kSeedSize);
-  std::memcpy(seeds.data(), key.root_seed, kSeedSize);
-  Bytes ts(1, key.party);
-  ExpandKeepingSeeds(seeds, ts, key.correction_words.data(), top_bits);
-
-  const std::size_t shards = ts.size();
+  const SplitRoots roots = ExpandKeepingSeeds(
+      key.root_seed, key.party, key.correction_words.data(), top_bits);
+  const std::size_t shards = std::size_t{1} << top_bits;
   const int remaining = key.domain_bits - top_bits;
   const std::vector<CorrectionWord> tail(
       key.correction_words.begin() + top_bits, key.correction_words.end());
@@ -425,8 +423,8 @@ std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits) {
   for (std::size_t s = 0; s < shards; ++s) {
     out[s].party = key.party;
     out[s].domain_bits = static_cast<std::uint8_t>(remaining);
-    std::memcpy(out[s].seed, seeds.data() + s * kSeedSize, kSeedSize);
-    out[s].t = ts[s];
+    std::memcpy(out[s].seed, roots.seeds.data() + s * kSeedSize, kSeedSize);
+    out[s].t = roots.ts[s];
     out[s].correction_words = tail;
     std::memcpy(out[s].output_cw, key.output_cw, kSeedSize);
   }
@@ -436,6 +434,22 @@ std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits) {
 BitVector EvalSubtree(const SubtreeKey& key) {
   return ExpandToLeafBits(key.seed, key.t, key.correction_words.data(),
                           key.output_cw, key.domain_bits);
+}
+
+SplitRoots ExpandRoots(const SubtreeKey& key, int split) {
+  LW_CHECK_MSG(split >= 0 && split <= TreeDepth(key.domain_bits),
+               "split out of range");
+  return ExpandKeepingSeeds(key.seed, key.t, key.correction_words.data(),
+                            split);
+}
+
+void EvalLeaves(const SubtreeKey& key, int split,
+                LW_SECRET const std::uint8_t* seed, std::uint8_t t,
+                std::uint64_t* out) {
+  LW_CHECK_MSG(split >= 0 && split <= TreeDepth(key.domain_bits),
+               "split out of range");
+  ExpandLeaves(seed, t, key.correction_words.data() + split,
+               TreeDepth(key.domain_bits) - split, key.output_cw, out);
 }
 
 }  // namespace lw::dpf

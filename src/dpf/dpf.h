@@ -93,9 +93,10 @@ inline std::uint8_t GetBit(const BitVector& bits, std::uint64_t i) {
   return static_cast<std::uint8_t>((bits[i >> 6] >> (i & 63)) & 1);
 }
 
-// Full-domain evaluation: all 2^d share bits, breadth-first (two AES batch
-// calls per level, one more to convert the leaves). Serial; servers
-// parallelize across a batch's keys instead (zltp::PirStore::ExpandBatch).
+// Full-domain evaluation: all 2^d share bits in point order, breadth-first
+// through the fused level kernel, then a 64×64 bit transpose per 64 leaves.
+// The reference evaluator for tests, fuzz targets and benches; servers
+// evaluate leaves inside their scan instead (EvalLeaves below).
 BitVector EvalFull(const DpfKey& key);
 
 // ------------------------------------------------------------------------
@@ -127,7 +128,49 @@ struct SubtreeKey {
 // the split happens inside the tree, above the converted leaves.
 std::vector<SubtreeKey> SplitForShards(const DpfKey& key, int top_bits);
 
-// Evaluates all 2^domain_bits leaves under a sub-tree root.
+// Evaluates all 2^domain_bits leaves under a sub-tree root, in point order
+// (the reference layout, as EvalFull).
 BitVector EvalSubtree(const SubtreeKey& key);
+
+// ------------------------------------------------------------------------
+// Leaf evaluation for the server's scan (pir::BlobDatabase::AnswerBatch).
+//
+// The scan groups its rows by the low `split` bits of their domain index
+// and expands one group's sub-tree at a time, so its output stays in L2
+// while the group's rows are swept. A PIR server's DpfKey enters as its
+// root sub-tree key, SplitForShards(key, 0).front().
+// ------------------------------------------------------------------------
+
+// The 2^split sub-tree roots `split` levels below a sub-tree key's root, in
+// residue order: root s covers the points x ≡ s (mod 2^split), with seed
+// seeds[16s, 16s + 16) and control bit ts[s]. The roots share the key's
+// correction words below level `split` (SplitForShards copies them into
+// every sub-key instead). Requires 0 <= split <= TreeDepth(domain_bits).
+struct SplitRoots {
+  LW_SECRET Bytes seeds;
+  Bytes ts;
+};
+SplitRoots ExpandRoots(const SubtreeKey& key, int split);
+
+// Evaluates the sub-tree below one of key's split roots (seed, t) and
+// writes its leaves without the transpose: with levels =
+// TreeDepth(key.domain_bits) - split, leaf p's 128 corrected output bits
+// are out[2p] (bits 0-63) and out[2p + 1] (bits 64-127), 2 << levels words
+// in all. The sub-tree's point j (the key's point s + (j << split)) is bit
+// b = j >> levels of leaf p = j mod 2^levels, bit LeafBitIndex(levels, j)
+// of `out` read as one bit string; LeafBit reads it.
+void EvalLeaves(const SubtreeKey& key, int split, const std::uint8_t* seed,
+                std::uint8_t t, std::uint64_t* out);
+
+inline std::uint64_t LeafBitIndex(int levels, std::uint64_t j) {
+  const std::uint64_t p = j & ((std::uint64_t{1} << levels) - 1);
+  return (p << kLeafBits) | (j >> levels);
+}
+
+inline std::uint8_t LeafBit(const std::uint64_t* leaves, int levels,
+                            std::uint64_t j) {
+  const std::uint64_t i = LeafBitIndex(levels, j);
+  return static_cast<std::uint8_t>((leaves[i >> 6] >> (i & 63)) & 1);
+}
 
 }  // namespace lw::dpf

@@ -221,7 +221,8 @@ Metrics& M() {
           "ns"),
       Registry::Default().AddCounter(
           "lw_scan_project_ns_total",
-          "wall time scan passes spent projecting selection bits onto rows",
+          "time scan passes spent gathering rows' selection bits from DPF "
+          "leaves, summed over row shards",
           "ns"),
       Registry::Default().AddHistogram("lw_scan_pass_ns",
                                        "latency of one scan pass", "ns",
@@ -229,7 +230,8 @@ Metrics& M() {
 
       Registry::Default().AddHistogram(
           "lw_dpf_expand_ns",
-          "latency of one DPF full-domain or sub-tree expansion", "ns",
+          "DPF expansion time of one scan pass, summed over row shards",
+          "ns",
           LatencyBounds()),
 
       Registry::Default().AddCounter("lw_pool_parallel_ops_total",
@@ -307,8 +309,8 @@ Metrics& M() {
           "requests"),
       Registry::Default().AddCounter(
           "lw_client_retries_total",
-          "private-GET attempts re-issued with fresh DPF shares after a "
-          "retryable failure",
+          "attempts re-issued after a retryable failure: private GETs "
+          "(with fresh query randomness) and establish attempts",
           "retries"),
       Registry::Default().AddCounter(
           "lw_client_redials_total",

@@ -212,7 +212,8 @@ struct Metrics {
   // Blob-database scans. ns/record = busy_ns / rows_scanned; average
   // rows per pass (≈ rows per shard) = rows_scanned / passes; row XORs per
   // scanned row = row_xors / rows_scanned (≤ ⌈B/4⌉ for a batch of B);
-  // projection share of scan time = project_ns / busy_ns.
+  // project_ns is the passes' gather of selection bits from DPF leaves,
+  // summed over row shards (CPU time, so it may exceed busy_ns).
   Counter& scan_rows_scanned;
   Counter& scan_row_xors;
   Counter& scan_passes;
@@ -220,7 +221,7 @@ struct Metrics {
   Counter& scan_project_ns;
   Histogram& scan_pass_ns;
 
-  // DPF expansion (full-domain or shard sub-tree), per evaluation.
+  // DPF expansion inside one scan pass, summed over its row shards.
   Histogram& dpf_expand_ns;
 
   // Thread pool. A "stolen" chunk ran on a pool worker rather than the
@@ -258,7 +259,7 @@ struct Metrics {
   Counter& client_bytes_sent;
   Counter& client_bytes_received;
   Counter& client_requests;
-  Counter& client_retries;      // attempts re-issued with fresh DPF shares
+  Counter& client_retries;      // GETs and establishes re-attempted
   Counter& client_redials;      // transports re-dialed + hello re-run
   Counter& client_op_timeouts;  // operations that hit DEADLINE_EXCEEDED
 

@@ -69,8 +69,23 @@ std::size_t SliceBytes(std::size_t entries, std::size_t record_size) {
 // Rows ahead of the current one that a single-query scan pulls into cache.
 // It reads only the rows its query selects, so it fetches a row's first
 // cache line. Selection bits need no prefetch: every pass reads them from
-// row-order planes, sequentially (see Scan).
+// row-order planes, sequentially (see AnswerBatch).
 constexpr std::size_t kPrefetchRows = 4;
+
+// A bucket's sub-tree covers 2^kBucketDomainBits points: its leaves take
+// 2^(kBucketDomainBits - 3) bytes per query, 8 KiB, and a 16-query batch's
+// 128 KiB stay in L2 while the bucket is swept.
+constexpr int kBucketDomainBits = 16;
+
+// Bytes a slab reserves: one hugepage, or one row if a row is larger.
+constexpr std::size_t kSlabBytes = kHugePageSize;
+
+// A run of rows one shard claims: rows [begin, end) of one bucket.
+struct Chunk {
+  std::size_t bucket;
+  std::size_t begin;
+  std::size_t end;
+};
 
 inline void Prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -82,14 +97,35 @@ inline void Prefetch(const void* p) {
 
 }  // namespace
 
+int BucketBits(int domain_bits) {
+  return std::clamp(domain_bits - kBucketDomainBits, 0,
+                    dpf::TreeDepth(domain_bits));
+}
+
 BlobDatabase::BlobDatabase(int domain_bits, std::size_t record_size)
     : domain_bits_(domain_bits),
+      bucket_bits_(BucketBits(domain_bits)),
       record_size_(record_size),
       row_stride_(AlignUp(record_size, kCacheLineSize)),
+      rows_per_slab_(std::max<std::size_t>(1, kSlabBytes / row_stride_)),
       table_stride_(row_stride_ + kTableSkew) {
   LW_CHECK_MSG(domain_bits >= 1 && domain_bits <= dpf::kMaxDomainBits,
                "domain_bits out of range");
   LW_CHECK_MSG(record_size > 0, "record_size must be positive");
+  buckets_.resize(std::size_t{1} << bucket_bits_);
+}
+
+std::uint8_t* BlobDatabase::MutableRow(Bucket& bucket, std::size_t row) {
+  return bucket.slabs[row / rows_per_slab_].data() +
+         (row % rows_per_slab_) * row_stride_;
+}
+
+const std::uint8_t* BlobDatabase::row_data(std::uint64_t index) const {
+  const auto it = index_of_.find(index);
+  if (it == index_of_.end()) return nullptr;
+  const Bucket& bucket = buckets_[index & (buckets_.size() - 1)];
+  return bucket.slabs[it->second / rows_per_slab_].data() +
+         (it->second % rows_per_slab_) * row_stride_;
 }
 
 Status BlobDatabase::Insert(std::uint64_t index, ByteSpan record) {
@@ -102,11 +138,19 @@ Status BlobDatabase::Insert(std::uint64_t index, ByteSpan record) {
   if (index_of_.contains(index)) {
     return CollisionError("domain index already occupied");
   }
-  index_of_.emplace(index, slot_index_.size());
-  slot_index_.push_back(index);
-  records_.resize(records_.size() + row_stride_, 0);  // zero row + padding
-  std::memcpy(records_.data() + records_.size() - row_stride_, record.data(),
+  Bucket& bucket = buckets_[index & (buckets_.size() - 1)];
+  const std::size_t row = bucket.points.size();
+  if (row % rows_per_slab_ == 0) {
+    // Reserved once: appending a row never moves the slab's rows.
+    bucket.slabs.emplace_back().reserve(
+        std::max(kSlabBytes, rows_per_slab_ * row_stride_));
+  }
+  HugeBytes& slab = bucket.slabs.back();
+  slab.resize(slab.size() + row_stride_, 0);  // zero row + padding
+  std::memcpy(slab.data() + slab.size() - row_stride_, record.data(),
               record_size_);
+  bucket.points.push_back(index >> bucket_bits_);
+  index_of_.emplace(index, row);
   return Status::Ok();
 }
 
@@ -116,8 +160,8 @@ Status BlobDatabase::Update(std::uint64_t index, ByteSpan record) {
   }
   const auto it = index_of_.find(index);
   if (it == index_of_.end()) return NotFoundError("no record at index");
-  std::memcpy(records_.data() + it->second * row_stride_, record.data(),
-              record_size_);
+  std::memcpy(MutableRow(buckets_[index & (buckets_.size() - 1)], it->second),
+              record.data(), record_size_);
   return Status::Ok();
 }
 
@@ -129,17 +173,21 @@ Status BlobDatabase::Upsert(std::uint64_t index, ByteSpan record) {
 Status BlobDatabase::Remove(std::uint64_t index) {
   const auto it = index_of_.find(index);
   if (it == index_of_.end()) return NotFoundError("no record at index");
+  const std::uint64_t residue = index & (buckets_.size() - 1);
+  Bucket& bucket = buckets_[residue];
   const std::size_t row = it->second;
-  const std::size_t last = slot_index_.size() - 1;
+  const std::size_t last = bucket.points.size() - 1;
   if (row != last) {
-    // Swap-remove keeps storage dense for the linear scan.
-    std::memcpy(records_.data() + row * row_stride_,
-                records_.data() + last * row_stride_, row_stride_);
-    slot_index_[row] = slot_index_[last];
-    index_of_[slot_index_[row]] = row;
+    // Swap-remove keeps the bucket dense for the linear scan.
+    std::memcpy(MutableRow(bucket, row), MutableRow(bucket, last),
+                row_stride_);
+    bucket.points[row] = bucket.points[last];
+    index_of_[(bucket.points[row] << bucket_bits_) | residue] = row;
   }
-  records_.resize(last * row_stride_);
-  slot_index_.pop_back();
+  HugeBytes& slab = bucket.slabs.back();
+  slab.resize(slab.size() - row_stride_);
+  if (slab.empty()) bucket.slabs.pop_back();
+  bucket.points.pop_back();
   index_of_.erase(it);
   return Status::Ok();
 }
@@ -149,9 +197,8 @@ bool BlobDatabase::Contains(std::uint64_t index) const {
 }
 
 Result<Bytes> BlobDatabase::Get(std::uint64_t index) const {
-  const auto it = index_of_.find(index);
-  if (it == index_of_.end()) return NotFoundError("no record at index");
-  const std::uint8_t* p = records_.data() + it->second * row_stride_;
+  const std::uint8_t* p = row_data(index);
+  if (p == nullptr) return NotFoundError("no record at index");
   return Bytes(p, p + record_size_);
 }
 
@@ -159,47 +206,33 @@ std::size_t BlobDatabase::ScanShards(ThreadPool* pool) const {
   if (pool == nullptr || pool->thread_count() <= 1) return 1;
   // At least ~256 rows per shard: below that, accumulator setup and the
   // reduction dwarf the scan itself.
-  const std::size_t by_rows = slot_index_.size() / 256;
+  const std::size_t by_rows = record_count() / 256;
   return std::max<std::size_t>(
       1, std::min(static_cast<std::size_t>(pool->thread_count()), by_rows));
 }
 
 std::uint64_t BlobDatabase::ScanRows(const std::uint64_t* plane,
-                                     std::size_t row_begin,
-                                     std::size_t row_end,
+                                     const Run& run,
                                      std::uint8_t* acc) const {
   std::uint64_t row_xors = 0;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    if (row + kPrefetchRows < row_end) {
-      Prefetch(records_.data() + (row + kPrefetchRows) * row_stride_);
+  for (std::size_t i = 0; i < run.count; ++i) {
+    if (i + kPrefetchRows < run.count) {
+      Prefetch(run.rows + (i + kPrefetchRows) * row_stride_);
+    } else if (i + kPrefetchRows - run.count < run.next_count) {
+      Prefetch(run.next + (i + kPrefetchRows - run.count) * row_stride_);
     }
-    if ((plane[row >> 6] >> (row & 63)) & 1) {
-      XorBytes(acc, records_.data() + row * row_stride_, record_size_);
+    const std::size_t bit = run.first + i;
+    if ((plane[bit >> 6] >> (bit & 63)) & 1) {
+      XorBytes(acc, run.rows + i * row_stride_, record_size_);
       ++row_xors;
     }
   }
   return row_xors;
 }
 
-void BlobDatabase::Project(const std::uint64_t* bits,
-                           std::uint64_t* plane) const {
-  const std::size_t n = slot_index_.size();
-  for (std::size_t base = 0; base < n; base += 64) {
-    const std::size_t end = std::min(n, base + 64);
-    std::uint64_t word = 0;
-    for (std::size_t row = base; row < end; ++row) {
-      const std::uint64_t index = slot_index_[row];
-      word |= ((bits[index >> 6] >> (index & 63)) & 1) << (row - base);
-    }
-    plane[base / 64] = word;
-  }
-}
-
 std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
                                             std::size_t plane_words,
-                                            std::size_t nq,
-                                            std::size_t row_begin,
-                                            std::size_t row_end,
+                                            std::size_t nq, const Run& run,
                                             std::uint8_t* tables) const {
   const std::size_t groups = (nq + kGroupSize - 1) / kGroupSize;
   const std::size_t slice = SliceBytes(TableEntries(nq), record_size_);
@@ -209,15 +242,15 @@ std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
   std::size_t dst_begin[kBlockRows + 1] = {};
   std::vector<std::size_t> offsets(kBlockRows * groups);
   std::uint64_t row_xors = 0;
-  for (std::size_t block = row_begin; block < row_end; block += kBlockRows) {
-    const std::size_t block_end = std::min(row_end, block + kBlockRows);
+  for (std::size_t block = 0; block < run.count; block += kBlockRows) {
+    const std::size_t block_end = std::min(run.count, block + kBlockRows);
     // Each row's selection bits, four queries at a time, index one table
     // entry per group: whichever of the group's queries select the row,
     // the row is XORed once (the Method of Four Russians).
     std::size_t k = 0;
     for (std::size_t row = block; row < block_end; ++row) {
-      const std::size_t word = row >> 6;
-      const std::size_t shift = row & 63;
+      const std::size_t word = (run.first + row) >> 6;
+      const std::size_t shift = (run.first + row) & 63;
       for (std::size_t g = 0; g < groups; ++g) {
         const std::size_t q0 = g * kGroupSize;
         const std::size_t q1 = std::min(nq, q0 + kGroupSize);
@@ -236,14 +269,20 @@ std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
     row_xors += k;
     // The next block of this chunk goes to L2 while this one is swept,
     // spread evenly over the block's (slice, row) steps: a 4 KiB record
-    // is a 4 KiB page, where the hardware streamer stops.
+    // is a 4 KiB page, where the hardware streamer stops. At the end of a
+    // slab the next block is the first of the chunk's next slab.
     const std::size_t rows = block_end - block;
-    const std::size_t next_end = std::min(row_end, block_end + kBlockRows);
-    const std::size_t next_lines =
-        (next_end - block_end) * row_stride_ / kCacheLineSize;
-    L2Prefetch prefetch{records_.data() + block_end * row_stride_, next_lines,
+    const std::uint8_t* next = run.rows + block_end * row_stride_;
+    std::size_t next_rows = std::min(run.count, block_end + kBlockRows) -
+                            block_end;
+    if (block_end == run.count) {
+      next = run.next;
+      next_rows = std::min(kBlockRows, run.next_count);
+    }
+    const std::size_t next_lines = next_rows * row_stride_ / kCacheLineSize;
+    L2Prefetch prefetch{next, next_lines,
                         (next_lines + slices * rows - 1) / (slices * rows)};
-    const XorRows block_rows{records_.data() + block * row_stride_,
+    const XorRows block_rows{run.rows + block * row_stride_,
                              row_stride_,
                              rows,
                              dst_begin,
@@ -256,7 +295,6 @@ std::uint64_t BlobDatabase::ScanRowsGrouped(const std::uint64_t* planes,
   }
   return row_xors;
 }
-
 void BlobDatabase::FoldTables(std::size_t nq, const std::uint8_t* tables,
                               std::uint8_t* accs) const {
   const std::size_t groups = (nq + kGroupSize - 1) / kGroupSize;
@@ -289,72 +327,137 @@ void BlobDatabase::FoldTables(std::size_t nq, const std::uint8_t* tables,
   }
 }
 
-void BlobDatabase::Scan(const std::uint64_t* const* bits,
-                        std::uint8_t* const* outs, std::size_t nq,
-                        ThreadPool* pool) const {
+void BlobDatabase::AnswerBatch(const std::vector<dpf::SubtreeKey>& keys,
+                               std::vector<Bytes>& answers,
+                               ThreadPool* pool) const {
+  const std::size_t nq = keys.size();
+  answers.assign(nq, Bytes(record_size_, 0));
+  if (nq == 0) return;
   const auto scan_start = std::chrono::steady_clock::now();
-  const std::size_t n = slot_index_.size();
+  for (const dpf::SubtreeKey& key : keys) {
+    LW_CHECK_MSG(key.domain_bits == domain_bits_ &&
+                     key.correction_words.size() ==
+                         static_cast<std::size_t>(dpf::TreeDepth(domain_bits_)),
+                 "sub-tree key does not match the database's domain");
+  }
+  // Every key's bucket roots, bucket_bits_ levels below its root.
+  std::vector<dpf::SplitRoots> roots;
+  roots.reserve(nq);
+  for (const dpf::SubtreeKey& key : keys) {
+    roots.push_back(dpf::ExpandRoots(key, bucket_bits_));
+  }
+  const std::uint64_t roots_ns = obs::ElapsedNs(scan_start);
+
+  const std::size_t n = record_count();
   const std::size_t shards = ScanShards(pool);
+  // Chunks never span a bucket. Each shard claims chunks from a shared
+  // cursor until none are left, so a worker that starts late or runs slow
+  // (a descheduled vCPU, a busier core) leaves its rows to the others
+  // instead of holding up the pass. A bucket larger than the target chunk
+  // splits on slab boundaries; a lone shard takes each bucket whole.
+  const std::size_t target_chunks = shards == 1 ? 1 : shards * kChunksPerShard;
+  const std::size_t target_rows =
+      std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
+  const std::size_t chunk_rows =
+      std::max<std::size_t>(1, target_rows / rows_per_slab_) * rows_per_slab_;
+  std::vector<Chunk> chunks;
+  std::size_t max_chunk = 0;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    const std::size_t rows = buckets_[b].points.size();
+    const std::size_t step = rows <= target_rows ? rows : chunk_rows;
+    for (std::size_t begin = 0; begin < rows; begin += step) {
+      chunks.push_back({b, begin, std::min(rows, begin + step)});
+      max_chunk = std::max(max_chunk, chunks.back().end - begin);
+    }
+  }
+
   // Per shard, one aligned accumulator per query, row_stride_ apart, then
   // that shard's tables, table_stride_ apart (a single query needs none).
   const std::size_t acc_block = nq * row_stride_;
   const std::size_t shard_block =
       acc_block + (nq == 1 ? 0 : TableEntries(nq) * table_stride_);
   AlignedBytes scratch(shards * shard_block, 0);
-  // Each shard claims row chunks from a shared cursor until none are left,
-  // so a worker that starts late or runs slow (a descheduled vCPU, a busier
-  // core) leaves its rows to the others instead of holding up the pass. A
-  // lone shard has no one to share with and scans its rows as one chunk.
-  const std::size_t target_chunks = shards == 1 ? 1 : shards * kChunksPerShard;
-  const std::size_t chunk_rows =
-      std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
-  const std::size_t chunks = (n + chunk_rows - 1) / chunk_rows;
-  // The sweep reads its selection bits in row order. Rows sit at random
-  // domain indices, so reading bit slot_index_[row] of each query's domain
-  // vector per row would be B random reads into B·2^d/8 bytes beside the
-  // row stream. Instead, one task per query first gathers that query's
-  // bits into a packed plane of ⌈n/64⌉ words (bit r of plane q selects row
-  // r), which the sweep then reads sequentially. The projection runs
-  // inside the pass, so it sees the same row layout as the sweep.
-  const auto project_start = std::chrono::steady_clock::now();
-  const std::size_t plane_words = (n + 63) / 64;
-  std::vector<std::uint64_t> planes(nq * plane_words);
-  const auto project = [&](std::size_t q0, std::size_t q1) {
-    for (std::size_t q = q0; q < q1; ++q) {
-      Project(bits[q], planes.data() + q * plane_words);
-    }
-  };
-  if (shards <= 1) {
-    project(0, nq);
-  } else {
-    pool->ParallelFor(0, nq, 1, project);
-  }
-  obs::M().scan_project_ns.Inc(obs::ElapsedNs(project_start));
+  std::vector<std::uint64_t> expand_ns(shards, 0), project_ns(shards, 0);
+  const int levels = dpf::TreeDepth(domain_bits_) - bucket_bits_;
+  const std::size_t leaf_words = std::size_t{2} << levels;
+  const std::size_t plane_words = (max_chunk + 63) / 64;
   std::atomic<std::size_t> next_chunk{0};
   // A single query XORs each selected row straight into its accumulator:
   // routed through the tables, its cache-cold shard scans ran ~13 % slower.
-  const auto scan_shard = [&](std::uint8_t* block) {
+  const auto scan_shard = [&](std::size_t w) {
+    std::uint8_t* block = scratch.data() + w * shard_block;
+    // The leaves of the bucket this shard expanded last, leaf_words per
+    // query, and its current chunk's rows' leaf bit indices and row-order
+    // selection planes.
+    std::vector<std::uint64_t> leaves(nq * leaf_words);
+    std::vector<std::uint64_t> planes(nq * plane_words);
+    std::vector<std::uint64_t> bit_at(max_chunk);
+    std::size_t expanded = buckets_.size();
     std::uint64_t row_xors = 0;
     for (;;) {
       const std::size_t c = next_chunk.fetch_add(1);
-      if (c >= chunks) break;
-      const std::size_t row_begin = c * chunk_rows;
-      const std::size_t row_end = std::min(n, row_begin + chunk_rows);
-      row_xors += nq == 1
-                      ? ScanRows(planes.data(), row_begin, row_end, block)
-                      : ScanRowsGrouped(planes.data(), plane_words, nq,
-                                        row_begin, row_end, block + acc_block);
+      if (c >= chunks.size()) break;
+      const Chunk& chunk = chunks[c];
+      const Bucket& bucket = buckets_[chunk.bucket];
+      if (chunk.bucket != expanded) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < nq; ++q) {
+          dpf::EvalLeaves(keys[q], bucket_bits_,
+                          roots[q].seeds.data() + chunk.bucket * dpf::kSeedSize,
+                          roots[q].ts[chunk.bucket],
+                          leaves.data() + q * leaf_words);
+        }
+        expanded = chunk.bucket;
+        expand_ns[w] += obs::ElapsedNs(t0);
+      }
+      // The sweep reads its selection bits in row order. Rows sit at
+      // random points of the bucket, so the gather reads each row's leaf
+      // bit per query here, while the leaves are in L2, into a packed
+      // plane per query: bit i of plane q selects the chunk's row
+      // begin + i.
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::size_t rows = chunk.end - chunk.begin;
+      for (std::size_t i = 0; i < rows; ++i) {
+        bit_at[i] = dpf::LeafBitIndex(levels, bucket.points[chunk.begin + i]);
+      }
+      for (std::size_t q = 0; q < nq; ++q) {
+        const std::uint64_t* leaf = leaves.data() + q * leaf_words;
+        std::uint64_t* plane = planes.data() + q * plane_words;
+        for (std::size_t base = 0; base < rows; base += 64) {
+          const std::size_t end = std::min(rows, base + 64);
+          std::uint64_t word = 0;
+          for (std::size_t i = base; i < end; ++i) {
+            word |= ((leaf[bit_at[i] >> 6] >> (bit_at[i] & 63)) & 1)
+                    << (i - base);
+          }
+          plane[base / 64] = word;
+        }
+      }
+      project_ns[w] += obs::ElapsedNs(t0);
+      // One run per slab; the chunk starts on a slab boundary.
+      for (std::size_t r = chunk.begin; r < chunk.end; r += rows_per_slab_) {
+        const std::size_t s = r / rows_per_slab_;
+        const std::size_t next = r + rows_per_slab_;
+        const Run run{bucket.slabs[s].data(),
+                      std::min(chunk.end, next) - r,
+                      r - chunk.begin,
+                      next < chunk.end ? bucket.slabs[s + 1].data() : nullptr,
+                      next < chunk.end
+                          ? std::min(chunk.end, next + rows_per_slab_) - next
+                          : 0};
+        row_xors += nq == 1 ? ScanRows(planes.data(), run, block)
+                            : ScanRowsGrouped(planes.data(), plane_words, nq,
+                                              run, block + acc_block);
+      }
     }
     if (nq > 1) FoldTables(nq, block + acc_block, block);
     obs::M().scan_row_xors.Inc(row_xors);
   };
   if (shards <= 1) {
-    scan_shard(scratch.data());
+    scan_shard(0);
   } else {
     pool->ParallelFor(0, shards, 1, [&](std::size_t w0, std::size_t w1) {
-      for (std::size_t w = w0; w < w1; ++w) {
-        scan_shard(scratch.data() + w * shard_block);
-      }
+      for (std::size_t w = w0; w < w1; ++w) scan_shard(w);
     });
     // Tree reduction across shards; a whole accumulator block (all B
     // answers) is combined per XOR, padding XORs zero into zero.
@@ -366,8 +469,19 @@ void BlobDatabase::Scan(const std::uint64_t* const* bits,
     }
   }
   for (std::size_t q = 0; q < nq; ++q) {
-    std::memcpy(outs[q], scratch.data() + q * row_stride_, record_size_);
+    std::memcpy(answers[q].data(), scratch.data() + q * row_stride_,
+                record_size_);
   }
+  // The expansion ran inside the pass, on its shards: report its sum once,
+  // from the calling thread, whose request trace this pass serves.
+  std::uint64_t expand_total = roots_ns, project_total = 0;
+  for (std::size_t w = 0; w < shards; ++w) {
+    expand_total += expand_ns[w];
+    project_total += project_ns[w];
+  }
+  obs::M().dpf_expand_ns.Observe(expand_total);
+  obs::AddExpandNs(expand_total);
+  obs::M().scan_project_ns.Inc(project_total);
   const std::uint64_t scan_ns = obs::ElapsedNs(scan_start);
   obs::M().scan_pass_ns.Observe(scan_ns);
   obs::M().scan_busy_ns.Inc(scan_ns);
@@ -375,31 +489,6 @@ void BlobDatabase::Scan(const std::uint64_t* const* bits,
   obs::M().scan_rows_scanned.Inc(n);
   obs::M().scan_passes.Inc();
   obs::AddScanNs(scan_ns);
-}
-
-void BlobDatabase::Answer(const dpf::BitVector& bits, MutableByteSpan out,
-                          ThreadPool* pool) const {
-  LW_CHECK_MSG(out.size() == record_size_, "answer buffer size mismatch");
-  LW_CHECK_MSG(bits.size() * 64 >= domain_size(), "bit vector too small");
-  const std::uint64_t* words = bits.data();
-  std::uint8_t* dst = out.data();
-  Scan(&words, &dst, 1, pool);
-}
-
-void BlobDatabase::AnswerBatch(const std::vector<dpf::BitVector>& queries,
-                               std::vector<Bytes>& answers,
-                               ThreadPool* pool) const {
-  answers.assign(queries.size(), Bytes(record_size_, 0));
-  if (queries.empty()) return;
-  std::vector<const std::uint64_t*> words;
-  std::vector<std::uint8_t*> outs;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    LW_CHECK_MSG(queries[q].size() * 64 >= domain_size(),
-                 "bit vector too small");
-    words.push_back(queries[q].data());
-    outs.push_back(answers[q].data());
-  }
-  Scan(words.data(), outs.data(), queries.size(), pool);
 }
 
 }  // namespace lw::pir

@@ -93,17 +93,9 @@ Result<std::vector<Bytes>> ShardDataServer::AnswerBatch(
     const std::vector<dpf::SubtreeKey>& keys, ThreadPool* pool) const {
   for (const dpf::SubtreeKey& key : keys) LW_RETURN_IF_ERROR(CheckKey(key));
   if (pass_hook_) pass_hook_();
-  // Expansion takes no lock, so a Load waits only for the scan.
-  const auto expand_start = obs::TraceNow();
-  std::vector<dpf::BitVector> bits;
-  bits.reserve(keys.size());
-  for (const dpf::SubtreeKey& key : keys) bits.push_back(dpf::EvalSubtree(key));
-  const std::uint64_t expand_ns = obs::ElapsedNs(expand_start);
-  obs::M().dpf_expand_ns.Observe(expand_ns);
-  obs::AddExpandNs(expand_ns);
   std::vector<Bytes> answers;
   std::lock_guard<std::mutex> lock(db_mu_);
-  db_.AnswerBatch(bits, answers, pool);
+  db_.AnswerBatch(keys, answers, pool);
   return answers;
 }
 

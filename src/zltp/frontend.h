@@ -57,7 +57,7 @@ class ShardDataServer {
   // `num_threads` drives the shard's XOR scan through a private pool
   // (0 = hardware_concurrency(), 1 = serial; the default stays serial
   // because deployments typically pack one shard per small instance —
-  // paper §5.2). Each sub-tree key expands serially.
+  // paper §5.2). The pass expands the sub-tree keys on the same pool.
   ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
                   int num_threads = 1);
 
@@ -76,10 +76,10 @@ class ShardDataServer {
   // wrong-depth key fails alone and its co-riders still get answers.
   Status CheckKey(const dpf::SubtreeKey& key) const;
 
-  // One pass for a batch of sub-tree queries: expands each key with
-  // dpf::EvalSubtree, then answers them all with one
-  // BlobDatabase::AnswerBatch pass over the shard. Answers in key order.
-  // The shard's scheduler answers every served batch here.
+  // One pass for a batch of sub-tree queries: the keys go to one
+  // BlobDatabase::AnswerBatch pass over the shard, which expands them
+  // bucket by bucket as it sweeps. Answers in key order. The shard's
+  // scheduler answers every served batch here.
   Result<std::vector<Bytes>> AnswerBatch(
       const std::vector<dpf::SubtreeKey>& keys,
       ThreadPool* pool = nullptr) const;

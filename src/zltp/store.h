@@ -2,16 +2,15 @@
 //
 // Combines the keyword registry (key → DPF domain index, collision
 // detection), record packing (fingerprint + padding to the universe's fixed
-// blob size), and one or more blob-database shards. With shard_top_bits > 0
-// the store models the paper's §5.2 deployment: the front-end expands the
-// top of the client's DPF tree once and each shard evaluates only its
-// sub-tree over its slice of the data.
+// blob size), and one blob database, whose scan expands each query's DPF
+// key inside the pass (pir::BlobDatabase::AnswerBatch). The paper's §5.2
+// deployment, where a front-end expands the top of the tree and each shard
+// its sub-tree, is ShardDataServer and ShardFanout (zltp/frontend.h).
 //
 // Thread-safe: queries take a shared lock, publishes an exclusive one — a
 // CDN publishes new pages while serving private-GETs.
 #pragma once
 
-#include <memory>
 #include <shared_mutex>
 #include <string_view>
 #include <vector>
@@ -32,8 +31,6 @@ struct PirStoreConfig {
   int domain_bits = 22;          // paper §5.1 default
   std::size_t record_size = 4096;  // paper's 4 KiB data blobs
   Bytes keyword_seed;            // 16 bytes; random if empty
-  // 2^shard_top_bits data shards; at most dpf::TreeDepth(domain_bits).
-  int shard_top_bits = 0;
 };
 
 class PirStore {
@@ -44,7 +41,6 @@ class PirStore {
   const pir::KeywordMapper& mapper() const { return registry_.mapper(); }
   int domain_bits() const { return config_.domain_bits; }
   std::size_t record_size() const { return config_.record_size; }
-  std::size_t shard_count() const { return shards_.size(); }
 
   // Publishes (or re-publishes) a key's payload. COLLISION if a different
   // key occupies the same domain index; INVALID_ARGUMENT if the payload
@@ -63,32 +59,30 @@ class PirStore {
   Status CheckKey(const dpf::DpfKey& key) const;
 
   // Answers one PIR query (full scan). The DPF key's domain must match.
-  // A non-null pool parallelizes the data scan across its workers
-  // (identical answers either way); the key expands serially.
+  // A non-null pool parallelizes the pass, its expansion included, across
+  // its workers (identical answers either way).
   Result<Bytes> AnswerQuery(const dpf::DpfKey& key,
                             ThreadPool* pool = nullptr) const;
 
-  // Answers a batch with one fused pass over each shard's data: ExpandBatch
-  // followed by ScanBatch. zltp::BatchScheduler answers every batch here.
+  // Answers a batch with one pass over the data: ExpandBatch followed by
+  // ScanBatch. zltp::BatchScheduler answers every batch here.
   Result<std::vector<Bytes>> AnswerBatch(const std::vector<dpf::DpfKey>& keys,
                                          ThreadPool* pool = nullptr) const;
 
-  // A batch's DPF expansion, kept apart from its data scan so each stage
-  // can be timed and replayed on its own (perfbench's layer table).
+  // A batch's keys, checked and ready for the pass, kept apart from the
+  // scan so each stage can be called on its own (perfbench's layer table).
   struct ExpandedBatch {
-    // shard_bits[s][q]: query q's selection bits over shard s's sub-domain.
-    std::vector<std::vector<dpf::BitVector>> shard_bits;
-    std::size_t query_count = 0;
+    // Each key as its root sub-tree key, the form the pass takes.
+    std::vector<dpf::SubtreeKey> roots;
   };
 
-  // Stage 1: evaluates every key's DPF (full-domain, or per-shard sub-trees
-  // when sharded), one key per pool task. Pure compute over immutable
-  // config — takes no store lock, so publishes do not wait on it.
+  // Stage 1: checks every key's domain and makes its root sub-tree key.
+  // Takes no store lock; the DPF expansion itself runs inside ScanBatch.
   Result<ExpandedBatch> ExpandBatch(const std::vector<dpf::DpfKey>& keys,
                                     ThreadPool* pool = nullptr) const;
 
-  // Stage 2: one fused pass over each shard's records under the shared
-  // lock, XOR-combining shard answers per query.
+  // Stage 2: one pass over the records under the shared lock, which
+  // expands the keys bucket by bucket as it sweeps.
   Result<std::vector<Bytes>> ScanBatch(const ExpandedBatch& expanded,
                                        ThreadPool* pool = nullptr) const;
 
@@ -100,17 +94,10 @@ class PirStore {
   std::vector<std::string> Keys() const;
 
  private:
-  struct ShardRef {
-    std::size_t shard;
-    std::uint64_t local_index;
-  };
-  ShardRef Locate(std::uint64_t global_index) const;
-
   PirStoreConfig config_;
-  int shard_bits_;  // domain bits per shard
   mutable std::shared_mutex mu_;
   pir::KeywordRegistry registry_;
-  std::vector<std::unique_ptr<pir::BlobDatabase>> shards_;
+  pir::BlobDatabase db_;
 };
 
 }  // namespace lw::zltp

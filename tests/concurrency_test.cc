@@ -186,14 +186,15 @@ TEST(Concurrency, PipelinedBatchesFromParallelClients) {
 
 TEST(Concurrency, BatchSchedulerUnderLoadIsRaceFree) {
   // Keeps the batch worker busy (tiny co-rider window, more clients than
-  // max_batch) over a sharded store whose expansion and scan both fan out
-  // to a shared ThreadPool, while submitters queue the next batch and a
-  // stats() poller reads on the side. Exists to fail under TSan if the
-  // scan-time EWMA update or the stats snapshot ever races with admission.
+  // max_batch) over a store whose pass fans out to a shared ThreadPool (600
+  // rows: two row shards) and expands its keys over 2^2 buckets (d = 18),
+  // while submitters queue the next batch and a stats() poller reads on
+  // the side. Exists to fail under TSan if the pass's shards, the
+  // scan-time EWMA update or the stats snapshot ever race.
   zltp::PirStoreConfig config = StoreConfig();
-  config.shard_top_bits = 2;
+  config.domain_bits = 18;
   zltp::PirStore store(config);
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 600; ++i) {
     (void)store.Publish("p/" + std::to_string(i), ToBytes("v"));
   }
   ThreadPool pool(2);

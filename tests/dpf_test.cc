@@ -329,5 +329,107 @@ TEST(DpfExhaustive, EveryAlphaEveryPointEveryEvaluator) {
   }
 }
 
+// ------------------------------------------------------- leaf evaluator
+//
+// The scan's evaluator (EvalLeaves) writes each leaf's 128 output bits as
+// two words, untransposed, below one of a key's split roots. For every d in
+// 1..12, every split t <= TreeDepth(d) and both parties, its bit for every
+// point must equal EvalPoint's, and the two parties' leaves must XOR to the
+// unit vector at alpha.
+
+// Leaves of every split root of `key`, bucket s at out[s].
+std::vector<std::vector<std::uint64_t>> AllLeaves(const SubtreeKey& key,
+                                                  int split) {
+  const SplitRoots roots = ExpandRoots(key, split);
+  EXPECT_EQ(roots.ts.size(), std::size_t{1} << split);
+  EXPECT_EQ(roots.seeds.size(), kSeedSize << split);
+  std::vector<std::vector<std::uint64_t>> out;
+  for (std::size_t s = 0; s < roots.ts.size(); ++s) {
+    out.emplace_back(std::size_t{2} << (TreeDepth(key.domain_bits) - split));
+    EvalLeaves(key, split, roots.seeds.data() + s * kSeedSize, roots.ts[s],
+               out.back().data());
+  }
+  return out;
+}
+
+TEST(DpfLeaves, EveryPointEverySplitMatchesEvalPoint) {
+  Rng rng(17);
+  for (int d = 1; d <= 12; ++d) {
+    const std::uint64_t domain = std::uint64_t{1} << d;
+    const std::uint64_t alpha = rng.UniformInt(domain);
+    const KeyPair pair = Generate(alpha, d);
+    const SubtreeKey roots[2] = {SplitForShards(pair.key0, 0).front(),
+                                 SplitForShards(pair.key1, 0).front()};
+    for (int split = 0; split <= TreeDepth(d); ++split) {
+      const int levels = TreeDepth(d) - split;
+      const auto leaves0 = AllLeaves(roots[0], split);
+      const auto leaves1 = AllLeaves(roots[1], split);
+      for (std::uint64_t x = 0; x < domain; ++x) {
+        const std::uint64_t s = x & ((std::uint64_t{1} << split) - 1);
+        const std::uint64_t j = x >> split;
+        const std::uint8_t b0 = LeafBit(leaves0[s].data(), levels, j);
+        const std::uint8_t b1 = LeafBit(leaves1[s].data(), levels, j);
+        ASSERT_EQ(b0, EvalPoint(pair.key0, x))
+            << "d=" << d << " split=" << split << " x=" << x;
+        ASSERT_EQ(b1, EvalPoint(pair.key1, x))
+            << "d=" << d << " split=" << split << " x=" << x;
+        ASSERT_EQ(b0 ^ b1, x == alpha ? 1 : 0)
+            << "d=" << d << " split=" << split << " x=" << x;
+      }
+    }
+  }
+}
+
+// The shard path: a sub-tree key from SplitForShards, split again into its
+// buckets, must give the same bits as EvalPoint on the client's key.
+TEST(DpfLeaves, SubtreeKeysMatchEvalPointBelowTheShardSplit) {
+  Rng rng(23);
+  for (int d = 1; d <= 12; ++d) {
+    const std::uint64_t domain = std::uint64_t{1} << d;
+    const std::uint64_t alpha = rng.UniformInt(domain);
+    const KeyPair pair = Generate(alpha, d);
+    for (int top = 0; top <= TreeDepth(d); ++top) {
+      const std::vector<SubtreeKey> shards[2] = {SplitForShards(pair.key0, top),
+                                                 SplitForShards(pair.key1, top)};
+      const int sub_d = d - top;
+      for (int split = 0; split <= TreeDepth(sub_d); ++split) {
+        const int levels = TreeDepth(sub_d) - split;
+        for (std::size_t r = 0; r < shards[0].size(); ++r) {
+          const auto leaves0 = AllLeaves(shards[0][r], split);
+          const auto leaves1 = AllLeaves(shards[1][r], split);
+          for (std::uint64_t y = 0; y < (domain >> top); ++y) {
+            const std::uint64_t x = r + (y << top);
+            const std::uint64_t s = y & ((std::uint64_t{1} << split) - 1);
+            const std::uint8_t b0 =
+                LeafBit(leaves0[s].data(), levels, y >> split);
+            const std::uint8_t b1 =
+                LeafBit(leaves1[s].data(), levels, y >> split);
+            ASSERT_EQ(b0, EvalPoint(pair.key0, x))
+                << "d=" << d << " top=" << top << " split=" << split
+                << " x=" << x;
+            ASSERT_EQ(b1, EvalPoint(pair.key1, x))
+                << "d=" << d << " top=" << top << " split=" << split
+                << " x=" << x;
+            ASSERT_EQ(b0 ^ b1, x == alpha ? 1 : 0)
+                << "d=" << d << " top=" << top << " split=" << split
+                << " x=" << x;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DpfLeaves, SplitOutsideTheTreeThrows) {
+  const KeyPair pair = Generate(3, 10);
+  const SubtreeKey root = SplitForShards(pair.key0, 0).front();
+  EXPECT_THROW(ExpandRoots(root, TreeDepth(10) + 1), InvariantViolation);
+  EXPECT_THROW(ExpandRoots(root, -1), InvariantViolation);
+  std::vector<std::uint64_t> out(2);
+  EXPECT_THROW(EvalLeaves(root, TreeDepth(10) + 1, root.seed, root.t,
+                          out.data()),
+               InvariantViolation);
+}
+
 }  // namespace
 }  // namespace lw::dpf

@@ -121,9 +121,9 @@ TEST(ShardFanout, MatchesUnshardedAnswer) {
     const pir::QueryKeys q = pir::MakeIndexQuery(target, 12);
     auto sharded = fanout.Answer(q.key0);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    Bytes direct(deployment.topology.record_size);
-    reference.Answer(dpf::EvalFull(q.key0), direct);
-    EXPECT_EQ(*sharded, direct) << "target " << target;
+    std::vector<Bytes> direct;
+    reference.AnswerBatch({dpf::SplitForShards(q.key0, 0).front()}, direct);
+    EXPECT_EQ(*sharded, direct.front()) << "target " << target;
   }
 }
 

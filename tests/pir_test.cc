@@ -23,6 +23,67 @@ Bytes RecordOf(std::uint8_t fill, std::size_t size) {
   return Bytes(size, fill);
 }
 
+// A DPF key as its root sub-tree key, the form the pass takes.
+dpf::SubtreeKey Root(const dpf::DpfKey& key) {
+  return dpf::SplitForShards(key, 0).front();
+}
+
+std::vector<dpf::SubtreeKey> Roots(const std::vector<dpf::DpfKey>& keys) {
+  std::vector<dpf::SubtreeKey> roots;
+  for (const dpf::DpfKey& key : keys) roots.push_back(Root(key));
+  return roots;
+}
+
+// One query's pass over db.
+Bytes AnswerOne(const BlobDatabase& db, const dpf::DpfKey& key,
+                ThreadPool* pool = nullptr) {
+  std::vector<Bytes> answers;
+  db.AnswerBatch({Root(key)}, answers, pool);
+  return answers.front();
+}
+
+// The two-party answer for `index`: both keys' passes, combined.
+Bytes Retrieve(const BlobDatabase& db, std::uint64_t index) {
+  const QueryKeys q = MakeIndexQuery(index, db.domain_bits());
+  return CombineAnswers(AnswerOne(db, q.key0), AnswerOne(db, q.key1)).value();
+}
+
+// A fresh party-0 key whose EvalPoint bits at `points` are `bits`: keys
+// are random, so a few draws find one.
+dpf::DpfKey KeyWithBits(int d, const std::vector<std::uint64_t>& points,
+                        const std::vector<std::uint8_t>& bits) {
+  for (int attempt = 0; attempt < 10000; ++attempt) {
+    dpf::DpfKey key = dpf::Generate(0, d).key0;
+    bool match = true;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      match = match && dpf::EvalPoint(key, points[i]) == bits[i];
+    }
+    if (match) return key;
+  }
+  ADD_FAILURE() << "no key with the wanted bits";
+  return dpf::Generate(0, d).key0;
+}
+
+// Reference answer, independent of the pass: the XOR of Get over every
+// stored index whose EvalPoint bit under `key` is 1. It XORs 64-bit words,
+// so large records stay cheap in sanitizer builds.
+Bytes ReferenceAnswer(const BlobDatabase& db,
+                      const std::set<std::uint64_t>& stored,
+                      const dpf::DpfKey& key) {
+  Bytes out(db.record_size(), 0);
+  for (const std::uint64_t index : stored) {
+    if (dpf::EvalPoint(key, index) == 0) continue;
+    const Bytes rec = db.Get(index).value();
+    std::size_t i = 0;
+    for (; i + 8 <= out.size(); i += 8) {
+      StoreLE64(out.data() + i,
+                LoadLE64(out.data() + i) ^ LoadLE64(rec.data() + i));
+    }
+    for (; i < out.size(); ++i) out[i] ^= rec[i];
+  }
+  return out;
+}
+
 // --------------------------------------------------------------- BlobDb
 
 TEST(BlobDb, InsertGetRemove) {
@@ -72,31 +133,35 @@ TEST(BlobDb, AnswerSelectsExactlyMarkedRows) {
     rng.Fill(rec);
     ASSERT_TRUE(db.Insert(i, rec).ok());
   }
-  // Query for index 10 via a hand-built bit vector.
-  dpf::BitVector bits(1, 0);
-  bits[0] |= std::uint64_t{1} << 10;
-  Bytes out(24);
-  db.Answer(bits, out);
-  EXPECT_EQ(out, db.Get(10).value());
+  // The two parties' passes select every row alike but index 10's.
+  EXPECT_EQ(Retrieve(db, 10), db.Get(10).value());
+  EXPECT_EQ(Retrieve(db, 11), RecordOf(0, 24));  // unoccupied
 }
 
 TEST(BlobDb, AnswerXorsMultipleRows) {
   BlobDatabase db(6, 8);
   ASSERT_TRUE(db.Insert(1, RecordOf(0x0f, 8)).ok());
   ASSERT_TRUE(db.Insert(2, RecordOf(0xf0, 8)).ok());
-  dpf::BitVector bits(1, 0b110);  // rows 1 and 2
-  Bytes out(8);
-  db.Answer(bits, out);
-  EXPECT_EQ(out, RecordOf(0xff, 8));
+  const dpf::DpfKey both = KeyWithBits(6, {1, 2}, {1, 1});
+  EXPECT_EQ(AnswerOne(db, both), RecordOf(0xff, 8));
+  const dpf::DpfKey second = KeyWithBits(6, {1, 2}, {0, 1});
+  EXPECT_EQ(AnswerOne(db, second), RecordOf(0xf0, 8));
 }
 
 TEST(BlobDb, EmptyBitsGiveZeroAnswer) {
   BlobDatabase db(6, 8);
   ASSERT_TRUE(db.Insert(1, RecordOf(0xaa, 8)).ok());
-  dpf::BitVector bits(1, 0);
-  Bytes out(8, 0xcc);
-  db.Answer(bits, out);
-  EXPECT_EQ(out, RecordOf(0, 8));
+  const dpf::DpfKey none = KeyWithBits(6, {1}, {0});
+  // The callee overwrites whatever the answers held.
+  std::vector<Bytes> answers(3, RecordOf(0xcc, 8));
+  db.AnswerBatch({Root(none)}, answers);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0], RecordOf(0, 8));
+  // So does a pass over an empty database.
+  BlobDatabase empty(6, 8);
+  answers.assign(2, RecordOf(0xcc, 8));
+  empty.AnswerBatch({Root(none), Root(none)}, answers);
+  EXPECT_EQ(answers, std::vector<Bytes>(2, RecordOf(0, 8)));
 }
 
 // lw_scan_row_xors_total counts one XOR per row and non-zero group
@@ -107,91 +172,119 @@ TEST(BlobDb, ScanCountsOneRowXorPerSelectingGroup) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(db.Insert(i, RecordOf(static_cast<std::uint8_t>(i), 8)).ok());
   }
-  const dpf::BitVector all(1, ~std::uint64_t{0});
-  const dpf::BitVector none(1, 0);
+  const dpf::DpfKey key = dpf::Generate(3, 6).key0;
+  const auto selected = [&](const dpf::DpfKey& k) {
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < 10; ++i) n += dpf::EvalPoint(k, i);
+    return n;
+  };
   std::vector<Bytes> answers;
   obs::Counter& row_xors = obs::M().scan_row_xors;
 
+  // Four copies of one key, then a key that selects none of the rows: the
+  // first group XORs each row its key selects once, the second none.
+  const dpf::DpfKey none = KeyWithBits(
+      6, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, std::vector<std::uint8_t>(10, 0));
   std::uint64_t before = row_xors.Value();
-  db.AnswerBatch({all, all, all, all, none}, answers);
-  EXPECT_EQ(row_xors.Value() - before, 10u);
+  db.AnswerBatch(Roots({key, key, key, key, none}), answers);
+  EXPECT_EQ(row_xors.Value() - before, selected(key));
   EXPECT_EQ(answers[0], answers[3]);
   EXPECT_EQ(answers[4], RecordOf(0, 8));
 
+  // Five copies: two groups, each XORs the selected rows once.
   before = row_xors.Value();
-  db.AnswerBatch({all, all, all, all, all}, answers);
-  EXPECT_EQ(row_xors.Value() - before, 20u);
+  db.AnswerBatch(Roots({key, key, key, key, key}), answers);
+  EXPECT_EQ(row_xors.Value() - before, 2 * selected(key));
+
+  // Random keys: per row, one XOR per group with a non-zero pattern.
+  std::vector<dpf::DpfKey> keys;
+  for (int q = 0; q < 6; ++q) keys.push_back(dpf::Generate(q, 6).key1);
+  std::uint64_t expected = 0;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    for (std::size_t g = 0; g < keys.size(); g += 4) {
+      std::uint8_t any = 0;
+      for (std::size_t q = g; q < std::min(keys.size(), g + 4); ++q) {
+        any |= dpf::EvalPoint(keys[q], i);
+      }
+      expected += any;
+    }
+  }
+  before = row_xors.Value();
+  db.AnswerBatch(Roots(keys), answers);
+  EXPECT_EQ(row_xors.Value() - before, expected);
 
   before = row_xors.Value();
-  Bytes out(8);
-  db.Answer(none, out);
+  db.AnswerBatch({Root(none)}, answers);
   EXPECT_EQ(row_xors.Value() - before, 0u);
 }
 
 // Every pass reads its selection bits from row-order planes of ⌈rows/64⌉
-// words. Stores whose last plane word is partial (63 rows), exactly full
+// words. Buckets whose last plane word is partial (63 rows), exactly full
 // (64), or one row past full (65, 129) must still answer every query
-// exactly, batched or alone, including one that selects only the last row.
+// exactly, batched or alone, including the two-party query for the last
+// row. At d = 10 the database is one bucket.
 TEST(BlobDb, BatchSelectsRowsAcrossPlaneWordEdges) {
   constexpr int kDomainBits = 10;
   constexpr std::size_t kRecordSize = 40;
   for (const std::uint64_t rows : {63u, 64u, 65u, 129u}) {
     BlobDatabase db(kDomainBits, kRecordSize);
+    ASSERT_EQ(db.bucket_bits(), 0);
     Rng rng(rows);
     // An odd multiplier permutes the domain, so row order is not index
     // order.
     const auto index_of_row = [](std::uint64_t row) {
       return (row * 389) % (std::uint64_t{1} << kDomainBits);
     };
+    std::set<std::uint64_t> stored;
     for (std::uint64_t row = 0; row < rows; ++row) {
       Bytes rec(kRecordSize);
       rng.Fill(rec);
       ASSERT_TRUE(db.Insert(index_of_row(row), rec).ok());
+      stored.insert(index_of_row(row));
     }
-    const std::size_t words = (std::size_t{1} << kDomainBits) / 64;
-    std::vector<dpf::BitVector> queries(5, dpf::BitVector(words, 0));
     const std::uint64_t last = index_of_row(rows - 1);
-    queries[0][last >> 6] |= std::uint64_t{1} << (last & 63);
-    std::fill(queries[1].begin(), queries[1].end(), ~std::uint64_t{0});
-    for (std::size_t q = 2; q < queries.size(); ++q) {
-      for (std::uint64_t& w : queries[q]) w = rng.Next();
+    const QueryKeys target = MakeIndexQuery(last, kDomainBits);
+    std::vector<dpf::DpfKey> party[2] = {{target.key0}, {target.key1}};
+    for (std::uint64_t q = 1; q < 5; ++q) {
+      const QueryKeys other = MakeIndexQuery(rng.UniformInt(1024), kDomainBits);
+      party[0].push_back(other.key0);
+      party[1].push_back(other.key1);
     }
-    std::vector<Bytes> answers;
-    db.AnswerBatch(queries, answers);
-    ASSERT_EQ(answers.size(), queries.size());
-    EXPECT_EQ(answers[0], db.Get(last).value()) << "rows=" << rows;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      Bytes expected(kRecordSize, 0);
-      for (std::uint64_t row = 0; row < rows; ++row) {
-        if (dpf::GetBit(queries[q], index_of_row(row)) == 0) continue;
-        const Bytes rec = db.Get(index_of_row(row)).value();
-        for (std::size_t i = 0; i < kRecordSize; ++i) expected[i] ^= rec[i];
+    std::vector<Bytes> answers[2];
+    for (int side = 0; side < 2; ++side) {
+      db.AnswerBatch(Roots(party[side]), answers[side]);
+      ASSERT_EQ(answers[side].size(), party[side].size());
+      for (std::size_t q = 0; q < party[side].size(); ++q) {
+        const Bytes expected = ReferenceAnswer(db, stored, party[side][q]);
+        EXPECT_EQ(answers[side][q], expected)
+            << "query " << q << " rows=" << rows;
+        EXPECT_EQ(AnswerOne(db, party[side][q]), expected)
+            << "alone, query " << q << " rows=" << rows;
       }
-      EXPECT_EQ(answers[q], expected) << "query " << q << " rows=" << rows;
-      Bytes single(kRecordSize);
-      db.Answer(queries[q], single);
-      EXPECT_EQ(single, expected) << "Answer, query " << q << " rows=" << rows;
     }
+    EXPECT_EQ(CombineAnswers(answers[0][0], answers[1][0]).value(),
+              db.Get(last).value())
+        << "rows=" << rows;
   }
 }
 
-// lw_scan_project_ns_total adds each pass's projection time once: every
-// pass, single-query or batched, projects its queries' bits onto the rows
-// first, and that time is part of the pass's lw_scan_busy_ns_total.
+// lw_scan_project_ns_total adds each pass's gather of selection bits from
+// the DPF leaves once: every pass, single-query or batched, gathers its
+// queries' bits before it sweeps, and on a serial pass that time is part of
+// the pass's lw_scan_busy_ns_total.
 TEST(BlobDb, ScanProjectionTimeIsPartOfEveryPass) {
   BlobDatabase db(10, 64);
   for (std::uint64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(db.Insert(i * 2, RecordOf(static_cast<std::uint8_t>(i), 64))
                     .ok());
   }
-  const dpf::BitVector all(16, ~std::uint64_t{0});
+  const dpf::DpfKey key = dpf::Generate(5, 10).key0;
   obs::Counter& project_ns = obs::M().scan_project_ns;
   obs::Counter& busy_ns = obs::M().scan_busy_ns;
 
   std::uint64_t project_before = project_ns.Value();
   std::uint64_t busy_before = busy_ns.Value();
-  Bytes out(64);
-  db.Answer(all, out);
+  (void)AnswerOne(db, key);
   EXPECT_GT(project_ns.Value() - project_before, 0u);
   EXPECT_LE(project_ns.Value() - project_before,
             busy_ns.Value() - busy_before);
@@ -199,7 +292,7 @@ TEST(BlobDb, ScanProjectionTimeIsPartOfEveryPass) {
   project_before = project_ns.Value();
   busy_before = busy_ns.Value();
   std::vector<Bytes> answers;
-  db.AnswerBatch({all, all}, answers);
+  db.AnswerBatch(Roots({key, key}), answers);
   EXPECT_GT(project_ns.Value() - project_before, 0u);
   EXPECT_LE(project_ns.Value() - project_before,
             busy_ns.Value() - busy_before);
@@ -403,9 +496,8 @@ TEST(Hugepages, LargeAllocationsAreHugepageAlignedWhenEnabled) {
 }
 
 TEST(Hugepages, BlobDatabaseScansCorrectlyOverHugepageArena) {
-  // 2^12 rows x 512-byte stride = a 2 MiB record arena — exactly the size
-  // where BlobDatabase's backing store flips onto the hugepage path. The
-  // scan must not notice.
+  // Every bucket keeps its rows in 2 MiB slabs, each on the hugepage path.
+  // The scan must not notice.
   BlobDatabase db(12, 512);
   Rng rng(5);
   Bytes r1(512), r2(512);
@@ -413,14 +505,15 @@ TEST(Hugepages, BlobDatabaseScansCorrectlyOverHugepageArena) {
   rng.Fill(r2);
   ASSERT_TRUE(db.Insert(100, r1).ok());
   ASSERT_TRUE(db.Insert(3000, r2).ok());
-  dpf::BitVector bits((1 << 12) / 64, 0);
-  bits[100 / 64] |= std::uint64_t{1} << (100 % 64);
-  bits[3000 / 64] |= std::uint64_t{1} << (3000 % 64);
-  Bytes out(512);
-  db.Answer(bits, out);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(db.row_data(100)) %
+                (HugepagesEnabled() ? kHugePageSize : kCacheLineSize),
+            0u);
+  EXPECT_EQ(Retrieve(db, 100), r1);
+  EXPECT_EQ(Retrieve(db, 3000), r2);
+  const dpf::DpfKey both = KeyWithBits(12, {100, 3000}, {1, 1});
   Bytes expected(512);
   for (std::size_t i = 0; i < 512; ++i) expected[i] = r1[i] ^ r2[i];
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(AnswerOne(db, both), expected);
 }
 
 TEST(BlobDb, RowsAreCacheLineAligned) {
@@ -435,12 +528,13 @@ TEST(BlobDb, RowsAreCacheLineAligned) {
     rng.Fill(rec);
     ASSERT_TRUE(db.Insert(i * 3, rec).ok());
   }
-  for (std::size_t row = 0; row < db.record_count(); ++row) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(db.row_data(row)) %
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(db.row_data(i * 3)) %
                   kCacheLineSize,
               0u)
-        << "row " << row;
+        << "index " << i * 3;
   }
+  EXPECT_EQ(db.row_data(1), nullptr);
   // An exact multiple of the line size gets no padding.
   BlobDatabase exact(8, 128);
   EXPECT_EQ(exact.row_stride(), 128u);
@@ -448,12 +542,31 @@ TEST(BlobDb, RowsAreCacheLineAligned) {
 
 // --------------------------------------------- parallel / fused scans
 //
-// The sharded scan (private per-worker accumulators + tree reduction) and
-// the fused batch scan must match the serial single-query reference
-// bit-for-bit, across pool sizes and domain sizes.
+// The sharded pass (private per-worker leaves and accumulators + tree
+// reduction) must match the serial pass and a reference independent of the
+// scan bit-for-bit, across pool sizes and domain sizes.
 
 class BlobDbParallelTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// The reference evaluator's selection bits: EvalFull is checked against
+// EvalPoint at every point in dpf_test, and is cheaper for many rows.
+Bytes ReferenceFromBits(const BlobDatabase& db,
+                        const std::set<std::uint64_t>& stored,
+                        const dpf::BitVector& bits) {
+  Bytes out(db.record_size(), 0);
+  for (const std::uint64_t index : stored) {
+    if (dpf::GetBit(bits, index) == 0) continue;
+    const Bytes rec = db.Get(index).value();
+    std::size_t i = 0;
+    for (; i + 8 <= out.size(); i += 8) {
+      StoreLE64(out.data() + i,
+                LoadLE64(out.data() + i) ^ LoadLE64(rec.data() + i));
+    }
+    for (; i < out.size(); ++i) out[i] ^= rec[i];
+  }
+  return out;
+}
 
 TEST_P(BlobDbParallelTest, ParallelAnswerMatchesSerial) {
   const auto [threads, d] = GetParam();
@@ -463,22 +576,23 @@ TEST_P(BlobDbParallelTest, ParallelAnswerMatchesSerial) {
   BlobDatabase db(d, record_size);
   Rng rng(static_cast<std::uint64_t>(threads * 7 + d));
   const std::uint64_t records = std::min<std::uint64_t>(domain, 300);
+  std::set<std::uint64_t> stored;
   for (std::uint64_t i = 0; i < records; ++i) {
     Bytes rec(record_size);
     rng.Fill(rec);
-    ASSERT_TRUE(db.Upsert(rng.UniformInt(domain), rec).ok());
+    const std::uint64_t index = rng.UniformInt(domain);
+    ASSERT_TRUE(db.Upsert(index, rec).ok());
+    stored.insert(index);
   }
 
-  // Random selection vectors stress every row-subset shape, not just
-  // one-hot DPF outputs.
-  const std::size_t words = (domain + 63) / 64;
+  // A key's share selects a pseudorandom half of the rows.
   for (int round = 0; round < 4; ++round) {
-    dpf::BitVector bits(words);
-    for (std::uint64_t& w : bits) w = rng.Next();
-    Bytes serial(record_size), parallel(record_size, 0xee);
-    db.Answer(bits, serial);
-    db.Answer(bits, parallel, &pool);
-    EXPECT_EQ(parallel, serial) << "threads=" << threads << " d=" << d;
+    const dpf::DpfKey key = dpf::Generate(rng.UniformInt(domain), d).key0;
+    const Bytes serial = AnswerOne(db, key);
+    EXPECT_EQ(AnswerOne(db, key, &pool), serial)
+        << "threads=" << threads << " d=" << d;
+    EXPECT_EQ(serial, ReferenceFromBits(db, stored, dpf::EvalFull(key)))
+        << "threads=" << threads << " d=" << d;
   }
 }
 
@@ -493,9 +607,8 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
   // derives: the whole record (B ≤ 3), 2 KiB (B = 4), 1 KiB (B = 5 and
   // 8), 512 B (B = 16) and 256 B (B ≥ 17). At d ≥ 12 the inputs hold
   // 960–1200 and 530–600 rows, so a pool splits the scan into several row
-  // shards (at least 256 rows each) and the shard reduction runs. A pool's
-  // chunks (17 to 38 rows) then end inside a 32-row block, and at two
-  // shards the 300-byte input's chunks mostly span two blocks.
+  // shards (at least 256 rows each) and the shard reduction runs; at
+  // d = 18 the rows sit in four buckets, each a chunk of its own.
   const std::pair<std::size_t, std::uint64_t> inputs[] = {{300, 1200},
                                                            {4096, 600}};
   for (const auto& [record_size, max_records] : inputs) {
@@ -509,53 +622,29 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
       ASSERT_TRUE(db.Upsert(index, rec).ok());
       stored.insert(index);
     }
-    // Naive reference, independent of the scan kernel: the XOR of Get over
-    // every stored index whose bit is set. It XORs 64-bit words, so that
-    // 4096-byte records stay cheap in sanitizer builds.
-    const auto reference = [&](const dpf::BitVector& bits) {
-      Bytes out(record_size, 0);
-      for (const std::uint64_t index : stored) {
-        if (dpf::GetBit(bits, index) == 0) continue;
-        const Bytes rec = db.Get(index).value();
-        std::size_t i = 0;
-        for (; i + 8 <= record_size; i += 8) {
-          StoreLE64(out.data() + i,
-                    LoadLE64(out.data() + i) ^ LoadLE64(rec.data() + i));
-        }
-        for (; i < record_size; ++i) out[i] ^= rec[i];
-      }
-      return out;
-    };
 
     // Batch sizes around the scan's groups of four (one partial group, one
     // full group, full groups followed by a partial one) and its slice
-    // widths.
-    const std::size_t words = (domain + 63) / 64;
+    // widths; both parties' shares.
     ScopedXorTier restore;
     const auto sweep = [&](const char* layout) {
       for (const std::size_t batch : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u, 33u}) {
-        std::vector<dpf::BitVector> queries(batch, dpf::BitVector(words));
-        for (dpf::BitVector& bits : queries) {
-          for (std::uint64_t& w : bits) w = rng.Next();
-        }
-        // The last query selects every row and, from two queries up, the first
-        // selects none, so each batch asks for both edge answers.
-        std::fill(queries.back().begin(), queries.back().end(),
-                  ~std::uint64_t{0});
-        if (batch >= 2) {
-          std::fill(queries.front().begin(), queries.front().end(), 0);
+        std::vector<dpf::DpfKey> keys;
+        for (std::size_t q = 0; q < batch; ++q) {
+          dpf::KeyPair pair = dpf::Generate(rng.UniformInt(domain), d);
+          keys.push_back(q % 2 == 0 ? pair.key0 : pair.key1);
         }
         std::vector<Bytes> expected;
-        for (const dpf::BitVector& bits : queries) {
-          expected.push_back(reference(bits));
+        for (const dpf::DpfKey& key : keys) {
+          expected.push_back(ReferenceFromBits(db, stored, dpf::EvalFull(key)));
         }
-
+        const std::vector<dpf::SubtreeKey> roots = Roots(keys);
         for (const XorTier tier :
              {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
           if (!SetXorTier(tier)) continue;
           std::vector<Bytes> serial_batch, parallel_batch;
-          db.AnswerBatch(queries, serial_batch);
-          db.AnswerBatch(queries, parallel_batch, &pool);
+          db.AnswerBatch(roots, serial_batch);
+          db.AnswerBatch(roots, parallel_batch, &pool);
           ASSERT_EQ(serial_batch.size(), batch);
           ASSERT_EQ(parallel_batch.size(), batch);
           for (std::size_t q = 0; q < batch; ++q) {
@@ -566,20 +655,18 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
                 << "query " << q << " batch=" << batch << " record="
                 << record_size << " " << XorTierName(tier)
                 << " threads=" << threads << " d=" << d << " " << layout;
-            Bytes single(record_size, 0xee);
-            db.Answer(queries[q], single, &pool);
-            EXPECT_EQ(single, expected[q])
-                << "Answer, query " << q << " " << XorTierName(tier) << " "
-                << layout;
           }
+          EXPECT_EQ(AnswerOne(db, keys.back(), &pool), expected.back())
+              << "alone, " << XorTierName(tier) << " " << layout;
         }
       }
     };
     sweep("as inserted");
 
     // Remove about a third of the stored indices and insert fresh ones:
-    // swap-removes move rows and rewrite the row-to-index map, and the
-    // batch's selection planes must follow the new row layout.
+    // swap-removes move rows inside their buckets and rewrite the
+    // row-to-index map, and the pass's selection planes must follow the
+    // new row layout.
     std::vector<std::uint64_t> removed;
     for (const std::uint64_t index : stored) {
       if (rng.UniformInt(3) == 0) removed.push_back(index);
@@ -602,6 +689,129 @@ TEST_P(BlobDbParallelTest, FusedBatchMatchesSerialAnswers) {
 INSTANTIATE_TEST_SUITE_P(PoolsAndDomains, BlobDbParallelTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 8),
                                             ::testing::Values(1, 5, 12, 18)));
+
+// The keyed pass against a reference built from EvalPoint alone, over the
+// bucket and slab shapes the pass must handle: an empty database, a single
+// row, a bucket of exactly one slab, a bucket of one slab plus one row
+// (with every other bucket empty), the same after Insert/Remove/Update
+// churn that empties and refills its second slab, and ~1100 small rows
+// over every bucket, enough for four row shards. 65,000-byte records make
+// a slab 32 rows. Swept over batch sizes, pool sizes and XOR tiers; the
+// answers must be byte-identical everywhere. d = 6, 12, 17, 19 and 22 give
+// t = 0, 0, 1, 3 and 6 bucket bits.
+class BlobDbKeyedPassTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlobDbKeyedPassTest, MatchesEvalPointReference) {
+  const int d = GetParam();
+  const std::uint64_t domain = std::uint64_t{1} << d;
+  ASSERT_EQ(BucketBits(d), std::max(0, d - 16));
+  Rng rng(static_cast<std::uint64_t>(d));
+  ScopedXorTier restore;
+  ThreadPool pool2(2), pool4(4);
+
+  const auto check = [&](const BlobDatabase& db,
+                         const std::set<std::uint64_t>& stored,
+                         const char* layout) {
+    ASSERT_EQ(db.record_count(), stored.size()) << layout;
+    for (const std::size_t batch : {1u, 2u, 5u, 16u, 17u}) {
+      std::vector<dpf::DpfKey> keys;
+      std::vector<Bytes> expected;
+      for (std::size_t q = 0; q < batch; ++q) {
+        // Aim some queries at stored rows, so their pair combines to one.
+        const std::uint64_t alpha =
+            stored.empty() || q % 2 == 1
+                ? rng.UniformInt(domain)
+                : *std::next(stored.begin(),
+                             static_cast<long>(rng.UniformInt(stored.size())));
+        dpf::KeyPair pair = dpf::Generate(alpha, d);
+        keys.push_back(q % 3 == 0 ? pair.key1 : pair.key0);
+        expected.push_back(ReferenceAnswer(db, stored, keys.back()));
+      }
+      const std::vector<dpf::SubtreeKey> roots = Roots(keys);
+      for (const XorTier tier :
+           {XorTier::kScalar, XorTier::kAvx2, XorTier::kAvx512}) {
+        if (!SetXorTier(tier)) continue;
+        // A pool splits a pass only from 512 rows (256 per row shard);
+        // below that every pool runs the serial pass, so the big-record
+        // layouts run it once.
+        std::vector<ThreadPool*> pools{nullptr};
+        if (db.record_count() >= 512) pools = {nullptr, &pool2, &pool4};
+        for (ThreadPool* pool : pools) {
+          std::vector<Bytes> answers;
+          db.AnswerBatch(roots, answers, pool);
+          ASSERT_EQ(answers.size(), batch);
+          for (std::size_t q = 0; q < batch; ++q) {
+            EXPECT_EQ(answers[q], expected[q])
+                << layout << " batch=" << batch << " query " << q << " "
+                << XorTierName(tier) << " threads="
+                << (pool == nullptr ? 1 : pool->thread_count());
+          }
+        }
+      }
+    }
+  };
+
+  constexpr std::size_t kBigRecord = 65000;
+  const auto record = [&](std::size_t size) {
+    Bytes rec(size);
+    rng.Fill(rec);
+    return rec;
+  };
+  // Points of bucket `bucket`, in order: bucket + (j << t).
+  const int t = BucketBits(d);
+  const auto point = [&](std::uint64_t bucket, std::uint64_t j) {
+    return (bucket + (j << t)) % domain;
+  };
+
+  {
+    BlobDatabase db(d, kBigRecord);
+    std::set<std::uint64_t> stored;
+    check(db, stored, "empty");
+    const std::uint64_t only = rng.UniformInt(domain);
+    ASSERT_TRUE(db.Insert(only, record(kBigRecord)).ok());
+    stored.insert(only);
+    check(db, stored, "one row");
+  }
+  const std::uint64_t last_bucket = (std::uint64_t{1} << t) - 1;
+  const std::uint64_t points = std::min<std::uint64_t>(domain >> t, 64);
+  BlobDatabase db(d, kBigRecord);
+  ASSERT_EQ(db.rows_per_slab(), 32u);
+  std::set<std::uint64_t> stored;
+  for (std::uint64_t j = 0; j < std::min<std::uint64_t>(points, 32); ++j) {
+    ASSERT_TRUE(db.Insert(point(last_bucket, j), record(kBigRecord)).ok());
+    stored.insert(point(last_bucket, j));
+  }
+  check(db, stored, "one slab");
+  if (points > 32) {
+    ASSERT_TRUE(db.Insert(point(last_bucket, 32), record(kBigRecord)).ok());
+    stored.insert(point(last_bucket, 32));
+    check(db, stored, "one slab plus one row");
+    // Churn: remove two rows (the second slab empties and is freed),
+    // update one, insert two (the second slab comes back).
+    for (const std::uint64_t j : {std::uint64_t{5}, std::uint64_t{32}}) {
+      ASSERT_TRUE(db.Remove(point(last_bucket, j)).ok());
+      stored.erase(point(last_bucket, j));
+    }
+    ASSERT_TRUE(db.Update(point(last_bucket, 7), record(kBigRecord)).ok());
+    for (const std::uint64_t j : {std::uint64_t{40}, std::uint64_t{41}}) {
+      ASSERT_TRUE(db.Insert(point(last_bucket, j), record(kBigRecord)).ok());
+      stored.insert(point(last_bucket, j));
+    }
+    check(db, stored, "after churn");
+  }
+
+  BlobDatabase small(d, 24);
+  std::set<std::uint64_t> small_stored;
+  for (std::uint64_t i = 0; i < std::min<std::uint64_t>(domain, 1100); ++i) {
+    const std::uint64_t index = rng.UniformInt(domain);
+    ASSERT_TRUE(small.Upsert(index, record(24)).ok());
+    small_stored.insert(index);
+  }
+  check(small, small_stored, "small rows");
+}
+
+INSTANTIATE_TEST_SUITE_P(Domains, BlobDbKeyedPassTest,
+                         ::testing::Values(6, 12, 17, 19, 22));
 
 // -------------------------------------------- end-to-end two-server PIR
 
@@ -629,10 +839,8 @@ TEST_P(TwoServerPirTest, RetrievesEveryRecordPrivately) {
 
   for (const std::uint64_t target : indices) {
     const QueryKeys q = MakeIndexQuery(target, d);
-    Bytes a0(record_size), a1(record_size);
-    server0.Answer(dpf::EvalFull(q.key0), a0);
-    server1.Answer(dpf::EvalFull(q.key1), a1);
-    auto rec = CombineAnswers(a0, a1);
+    auto rec = CombineAnswers(AnswerOne(server0, q.key0),
+                              AnswerOne(server1, q.key1));
     ASSERT_TRUE(rec.ok());
     EXPECT_EQ(*rec, server0.Get(target).value());
   }
@@ -647,10 +855,9 @@ TEST(TwoServerPir, AbsentIndexYieldsZeros) {
   ASSERT_TRUE(s0.Insert(1, RecordOf(0xaa, 32)).ok());
   ASSERT_TRUE(s1.Insert(1, RecordOf(0xaa, 32)).ok());
   const QueryKeys q = MakeIndexQuery(99, d);  // unoccupied index
-  Bytes a0(32), a1(32);
-  s0.Answer(dpf::EvalFull(q.key0), a0);
-  s1.Answer(dpf::EvalFull(q.key1), a1);
-  EXPECT_EQ(CombineAnswers(a0, a1).value(), RecordOf(0, 32));
+  EXPECT_EQ(CombineAnswers(AnswerOne(s0, q.key0), AnswerOne(s1, q.key1))
+                .value(),
+            RecordOf(0, 32));
 }
 
 TEST(TwoServerPir, BatchAnswerMatchesIndividualAnswers) {
@@ -664,19 +871,17 @@ TEST(TwoServerPir, BatchAnswerMatchesIndividualAnswers) {
     ASSERT_TRUE(db.Insert(i * 5, rec).ok());
   }
 
-  std::vector<dpf::BitVector> queries;
+  std::vector<dpf::DpfKey> queries;
   std::vector<Bytes> individual;
   for (std::uint64_t t : {std::uint64_t{0}, std::uint64_t{25},
                           std::uint64_t{495}, std::uint64_t{511}}) {
     const QueryKeys q = MakeIndexQuery(t, d);
-    queries.push_back(dpf::EvalFull(q.key0));
-    Bytes a(record_size);
-    db.Answer(queries.back(), a);
-    individual.push_back(a);
+    queries.push_back(q.key0);
+    individual.push_back(AnswerOne(db, queries.back()));
   }
 
   std::vector<Bytes> batched;
-  db.AnswerBatch(queries, batched);
+  db.AnswerBatch(Roots(queries), batched);
   ASSERT_EQ(batched.size(), individual.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(batched[i], individual[i]) << "query " << i;

@@ -130,10 +130,10 @@ TEST_P(RecordSizeTest, PirRoundTripsAtOddSizes) {
   ASSERT_TRUE(db.Insert(77, rec).ok());
 
   const pir::QueryKeys q = pir::MakeIndexQuery(77, d);
-  Bytes a0(record_size), a1(record_size);
-  db.Answer(dpf::EvalFull(q.key0), a0);
-  db.Answer(dpf::EvalFull(q.key1), a1);
-  EXPECT_EQ(pir::CombineAnswers(a0, a1).value(), rec);
+  std::vector<Bytes> a0, a1;
+  db.AnswerBatch({dpf::SplitForShards(q.key0, 0).front()}, a0);
+  db.AnswerBatch({dpf::SplitForShards(q.key1, 0).front()}, a1);
+  EXPECT_EQ(pir::CombineAnswers(a0.front(), a1.front()).value(), rec);
 }
 
 TEST_P(RecordSizeTest, PackingFillsExactly) {

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "util/thread_pool.h"
 #include "zltp/batch.h"
 #include "zltp/client.h"
+#include "zltp/frontend.h"
 #include "zltp/messages.h"
 #include "zltp/server.h"
 #include "zltp/store.h"
@@ -30,14 +33,43 @@ namespace lw::zltp {
 namespace {
 
 PirStoreConfig SmallStoreConfig(int domain_bits = 12,
-                                std::size_t record_size = 128,
-                                int shard_top_bits = 0) {
+                                std::size_t record_size = 128) {
   PirStoreConfig c;
   c.domain_bits = domain_bits;
   c.record_size = record_size;
   c.keyword_seed = Bytes(16, 0x5a);
-  c.shard_top_bits = shard_top_bits;
   return c;
+}
+
+// Publishes `count` keys and returns the packed record at each occupied
+// domain index: what a reference XOR of the store's rows reads.
+std::map<std::uint64_t, Bytes> PublishKeys(PirStore& store, int count) {
+  std::map<std::uint64_t, Bytes> packed;
+  for (int i = 0; i < count; ++i) {
+    const std::string key = "site.com/page-" + std::to_string(i);
+    const Bytes payload = ToBytes("content-" + std::to_string(i));
+    if (!store.Publish(key, payload).ok()) continue;  // a collision
+    packed[store.mapper().IndexOf(key)] =
+        pir::PackRecord(store.mapper().Fingerprint(key), payload,
+                        store.record_size())
+            .value();
+  }
+  return packed;
+}
+
+// The XOR of the records whose bit is set in a point-order bit vector from
+// the reference evaluators (dpf::EvalFull, dpf::EvalSubtree); `shift` and
+// `residue` map a vector over a shard's sub-domain back to global indices.
+Bytes ReferenceAnswer(const std::map<std::uint64_t, Bytes>& packed,
+                      std::size_t record_size, const dpf::BitVector& bits,
+                      int shift = 0, std::uint64_t residue = 0) {
+  Bytes out(record_size, 0);
+  for (const auto& [index, record] : packed) {
+    if ((index & ((std::uint64_t{1} << shift) - 1)) != residue) continue;
+    if (dpf::GetBit(bits, index >> shift) == 0) continue;
+    XorInto(out, record);
+  }
+  return out;
 }
 
 // ------------------------------------------------------------- messages
@@ -233,30 +265,47 @@ TEST(PirStore, AnswerRejectsWrongDomain) {
   EXPECT_FALSE(store.AnswerQuery(q.key0).ok());
 }
 
+// The §5.2 split against one node. The node is a PirStore whose domain
+// d = 16 + t gives its database 2^t buckets (the parameter); the sharded
+// side is four ShardDataServers over the same records, each answering its
+// sub-tree key, their answers XORed as the front-end combines them. The
+// shards' buckets nest below the front-end's split bits.
 class ShardedStoreTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedStoreTest, ShardedAnswersMatchSingleNode) {
-  const int top_bits = GetParam();
-  // The split must stay inside the DPF tree: top_bits <= d - kLeafBits.
-  const int d = std::max(10, top_bits + dpf::kLeafBits);
-  PirStore single(SmallStoreConfig(d, 96, 0));
-  PirStore sharded(SmallStoreConfig(d, 96, top_bits));
-  for (int i = 0; i < 50; ++i) {
-    const std::string key = "site.com/page-" + std::to_string(i);
-    const Bytes payload = ToBytes("content-" + std::to_string(i));
-    const Status s1 = single.Publish(key, payload);
-    const Status s2 = sharded.Publish(key, payload);
-    EXPECT_EQ(s1.ok(), s2.ok());  // same seed → same collisions
+  const int bucket_bits = GetParam();
+  const int d = 16 + bucket_bits;
+  PirStore single(SmallStoreConfig(d, 96));
+  const std::map<std::uint64_t, Bytes> packed = PublishKeys(single, 50);
+  EXPECT_EQ(single.record_count(), packed.size());
+
+  const ShardTopology topology{.domain_bits = d, .top_bits = 2,
+                               .record_size = 96};
+  std::vector<std::unique_ptr<ShardDataServer>> shards;
+  for (std::size_t s = 0; s < topology.shard_count(); ++s) {
+    shards.push_back(std::make_unique<ShardDataServer>(topology, s));
   }
-  EXPECT_EQ(sharded.shard_count(), std::size_t{1} << top_bits);
-  EXPECT_EQ(single.record_count(), sharded.record_count());
+  for (const auto& [index, record] : packed) {
+    ASSERT_TRUE(shards[index & 3]->Load(index, record).ok());
+  }
 
   Rng rng(3);
   for (int t = 0; t < 20; ++t) {
-    const std::uint64_t index = rng.UniformInt(std::uint64_t{1} << d);
+    // Half the queries aim at a stored record.
+    const std::uint64_t index =
+        t % 2 == 0 ? std::next(packed.begin(),
+                               static_cast<long>(rng.UniformInt(packed.size())))
+                         ->first
+                   : rng.UniformInt(std::uint64_t{1} << d);
     const pir::QueryKeys q = pir::MakeIndexQuery(index, d);
-    EXPECT_EQ(single.AnswerQuery(q.key0).value(),
-              sharded.AnswerQuery(q.key0).value())
+    Bytes combined(96, 0);
+    const auto subkeys = dpf::SplitForShards(q.key0, topology.top_bits);
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      XorInto(combined, shards[s]->Answer(subkeys[s]).value());
+    }
+    const Bytes answer = single.AnswerQuery(q.key0).value();
+    EXPECT_EQ(answer, combined) << "index " << index;
+    EXPECT_EQ(answer, ReferenceAnswer(packed, 96, dpf::EvalFull(q.key0)))
         << "index " << index;
   }
 }
@@ -265,10 +314,11 @@ INSTANTIATE_TEST_SUITE_P(Shards, ShardedStoreTest,
                          ::testing::Values(1, 2, 4, 6));
 
 TEST(PirStore, BatchMatchesIndividual) {
-  // Swept over pool sizes too: ExpandBatch spreads the batch's keys over
-  // the pool, and every split must match the serial answers.
-  for (int top_bits : {0, 3}) {
-    PirStore store(SmallStoreConfig(10, 96, top_bits));
+  // Swept over pool sizes too: the pass spreads its row chunks over the
+  // pool, and every split must match the serial answers. d = 19 stores its
+  // rows in 2^3 buckets.
+  for (int d : {10, 19}) {
+    PirStore store(SmallStoreConfig(d, 96));
     for (int i = 0; i < 30; ++i) {
       (void)store.Publish("p" + std::to_string(i), ToBytes("v"));
     }
@@ -277,31 +327,31 @@ TEST(PirStore, BatchMatchesIndividual) {
     Rng rng(11);
     for (int i = 0; i < 7; ++i) {
       const pir::QueryKeys q =
-          pir::MakeIndexQuery(rng.UniformInt(1 << 10), 10);
+          pir::MakeIndexQuery(rng.UniformInt(std::uint64_t{1} << d), d);
       keys.push_back(q.key0);
       individual.push_back(store.AnswerQuery(q.key0).value());
     }
     auto batch = store.AnswerBatch(keys);
     ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(*batch, individual) << "top_bits=" << top_bits;
+    EXPECT_EQ(*batch, individual) << "d=" << d;
     for (int threads : {1, 2, 3, 8}) {
       ThreadPool pool(threads);
       auto pooled = store.AnswerBatch(keys, &pool);
       ASSERT_TRUE(pooled.ok());
       EXPECT_EQ(*pooled, individual)
-          << "top_bits=" << top_bits << " threads=" << threads;
+          << "d=" << d << " threads=" << threads;
     }
   }
 }
 
 // ------------------------------------------------------- parallel eval
 //
-// DPF evaluation runs in parallel across a batch's keys
-// (PirStore::ExpandBatch, one key per pool task). For every pool size and
-// domain the pooled expansion must be bit-identical to serial EvalFull, or
-// to serial EvalSubtree of each shard when the store is sharded — swept
-// over thread counts x domain sizes, from a tree of depth 0 (d=1) to
-// batches that put several keys on each worker.
+// The pass expands every key inside the scan, on the pool's row shards.
+// For every pool size and domain its answers must equal a reference XOR
+// over serial EvalFull's bits, and over serial EvalSubtree's for sub-tree
+// keys from SplitForShards (the shard path) — swept over thread counts x
+// domain sizes, from a tree of depth 0 (d=1) to batches that put several
+// keys on each worker.
 
 class DpfParallelTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {
@@ -322,34 +372,52 @@ class DpfParallelTest
 
 TEST_P(DpfParallelTest, EvalFullParallelMatchesSerial) {
   const auto [threads, d] = GetParam();
-  PirStore store(SmallStoreConfig(d, 96, 0));
+  PirStore store(SmallStoreConfig(d, 96));
+  const std::map<std::uint64_t, Bytes> packed = PublishKeys(store, 600);
   ThreadPool pool(threads);
   const std::vector<dpf::DpfKey> keys = BatchOfKeys(threads, d);
-  auto expanded = store.ExpandBatch(keys, &pool);
-  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
-  ASSERT_EQ(expanded->shard_bits.size(), 1u);
+  auto serial = store.AnswerBatch(keys);
+  auto pooled = store.AnswerBatch(keys, &pool);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ASSERT_EQ(pooled->size(), keys.size());
   for (std::size_t q = 0; q < keys.size(); ++q) {
-    EXPECT_EQ(expanded->shard_bits[0][q], dpf::EvalFull(keys[q]))
+    const Bytes expected = ReferenceAnswer(packed, 96, dpf::EvalFull(keys[q]));
+    EXPECT_EQ((*pooled)[q], expected)
         << "threads=" << threads << " d=" << d << " key " << q;
+    EXPECT_EQ((*serial)[q], expected) << "d=" << d << " key " << q;
   }
 }
 
 TEST_P(DpfParallelTest, EvalSubtreeParallelMatchesSerial) {
   const auto [threads, d] = GetParam();
   const int top_bits = std::min(2, dpf::TreeDepth(d));
-  PirStore store(SmallStoreConfig(d, 96, top_bits));
+  PirStore store(SmallStoreConfig(d, 96));
+  const std::map<std::uint64_t, Bytes> packed = PublishKeys(store, 600);
+  // One database per residue class, as ShardDataServer holds it.
+  std::vector<pir::BlobDatabase> shards;
+  for (int s = 0; s < (1 << top_bits); ++s) shards.emplace_back(d - top_bits, 96);
+  for (const auto& [index, record] : packed) {
+    const std::uint64_t shard = index & ((std::uint64_t{1} << top_bits) - 1);
+    ASSERT_TRUE(shards[shard].Insert(index >> top_bits, record).ok());
+  }
   ThreadPool pool(threads);
   const std::vector<dpf::DpfKey> keys = BatchOfKeys(threads, d);
-  auto expanded = store.ExpandBatch(keys, &pool);
-  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
-  ASSERT_EQ(expanded->shard_bits.size(), std::size_t{1} << top_bits);
-  for (std::size_t q = 0; q < keys.size(); ++q) {
-    const std::vector<dpf::SubtreeKey> subkeys =
-        dpf::SplitForShards(keys[q], top_bits);
-    for (std::size_t s = 0; s < subkeys.size(); ++s) {
-      EXPECT_EQ(expanded->shard_bits[s][q], dpf::EvalSubtree(subkeys[s]))
-          << "threads=" << threads << " d=" << d << " key " << q
-          << " shard " << s;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    std::vector<dpf::SubtreeKey> subkeys;
+    for (const dpf::DpfKey& key : keys) {
+      subkeys.push_back(dpf::SplitForShards(key, top_bits)[s]);
+    }
+    std::vector<Bytes> serial, pooled;
+    shards[s].AnswerBatch(subkeys, serial);
+    shards[s].AnswerBatch(subkeys, pooled, &pool);
+    for (std::size_t q = 0; q < keys.size(); ++q) {
+      const Bytes expected = ReferenceAnswer(
+          packed, 96, dpf::EvalSubtree(subkeys[q]), top_bits, s);
+      EXPECT_EQ(pooled[q], expected) << "threads=" << threads << " d=" << d
+                                     << " key " << q << " shard " << s;
+      EXPECT_EQ(serial[q], expected)
+          << "d=" << d << " key " << q << " shard " << s;
     }
   }
 }
@@ -357,14 +425,6 @@ TEST_P(DpfParallelTest, EvalSubtreeParallelMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(PoolsAndDomains, DpfParallelTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 8),
                                             ::testing::Values(1, 5, 12, 18)));
-
-TEST(PirStore, ShardSplitBelowTheTreeFailsAtConstruction) {
-  // Shards split the DPF tree, which ends dpf::kLeafBits above the domain.
-  EXPECT_THROW(PirStore(SmallStoreConfig(10, 96, 4)), InvariantViolation);
-  EXPECT_THROW(PirStore(SmallStoreConfig(6, 96, 1)), InvariantViolation);
-  EXPECT_EQ(PirStore(SmallStoreConfig(10, 96, 3)).shard_count(), 8u);
-  EXPECT_EQ(PirStore(SmallStoreConfig(6, 96, 0)).shard_count(), 1u);
-}
 
 TEST(PirStore, KeysEnumeratesPublished) {
   PirStore store(SmallStoreConfig());
@@ -573,8 +633,10 @@ TEST(BatchScheduler, StopAnswersEveryInFlightRequest) {
   EXPECT_EQ(batcher.stats().requests, static_cast<std::uint64_t>(kClients));
 }
 
+// Batches over a store whose rows sit in 2^3 buckets (d = 19): the pass
+// expands each rider's key bucket by bucket.
 TEST(BatchScheduler, ShardedBatchesMatchIndividualAnswers) {
-  PirStore store(SmallStoreConfig(12, 128, /*shard_top_bits=*/2));
+  PirStore store(SmallStoreConfig(19, 128));
   for (int i = 0; i < 32; ++i) {
     (void)store.Publish("k" + std::to_string(i), ToBytes("v"));
   }
@@ -583,7 +645,7 @@ TEST(BatchScheduler, ShardedBatchesMatchIndividualAnswers) {
   std::vector<Bytes> expected;
   Rng rng(3);
   for (int i = 0; i < kQueries; ++i) {
-    queries.push_back(pir::MakeIndexQuery(rng.UniformInt(1 << 12),
+    queries.push_back(pir::MakeIndexQuery(rng.UniformInt(1 << 19),
                                           store.domain_bits()));
     expected.push_back(store.AnswerQuery(queries.back().key0).value());
   }

@@ -147,6 +147,10 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered even on a pipe or a file, so a supervisor waiting for the
+  // "listening on" and "browse with" lines gets them at once, and a SIGINT
+  // (which ends the process without flushing) cannot lose them.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   if (argc < 3) return Usage(argv[0]);
   const int base_port = std::atoi(argv[1]);
   if (base_port <= 0 || base_port > 65531) {
