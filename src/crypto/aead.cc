@@ -1,6 +1,6 @@
 #include "crypto/aead.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "crypto/chacha20.h"
 #include "crypto/ct.h"
@@ -12,9 +12,12 @@ namespace {
 
 constexpr std::uint8_t kZeros[16] = {0};
 
-void ComputeTag(ByteSpan poly_key, ByteSpan aad, ByteSpan ct,
-                std::uint8_t tag[16]) {
-  Poly1305State mac(poly_key);
+void ComputeTag(LW_SECRET ByteSpan key, ByteSpan nonce, ByteSpan aad,
+                ByteSpan ct, std::uint8_t tag[16]) {
+  // The one-time Poly1305 key is the first half of keystream block 0.
+  std::uint8_t block[64];
+  ChaCha20Block(key, nonce, 0, block);
+  Poly1305State mac(ByteSpan(block, kPoly1305KeySize));
   mac.Update(aad);
   if (aad.size() % 16 != 0) {
     mac.Update(ByteSpan(kZeros, 16 - aad.size() % 16));
@@ -30,46 +33,49 @@ void ComputeTag(ByteSpan poly_key, ByteSpan aad, ByteSpan ct,
   mac.Finish(tag);
 }
 
-Bytes DerivePolyKey(ByteSpan key, ByteSpan nonce) {
-  std::uint8_t block[64];
-  ChaCha20Block(key, nonce, 0, block);
-  return Bytes(block, block + 32);
+}  // namespace
+
+void AeadSealInPlace(ByteSpan key, ByteSpan nonce, ByteSpan aad,
+                     MutableByteSpan buffer) {
+  LW_CHECK(key.size() == kAeadKeySize);
+  LW_CHECK(nonce.size() == kAeadNonceSize);
+  LW_CHECK(buffer.size() >= kAeadTagSize);
+  const MutableByteSpan text = buffer.first(buffer.size() - kAeadTagSize);
+  ChaCha20Xor(key, nonce, 1, text);
+  ComputeTag(key, nonce, aad, text, buffer.last(kAeadTagSize).data());
 }
 
-}  // namespace
+Status AeadOpenInPlace(ByteSpan key, ByteSpan nonce, ByteSpan aad,
+                       MutableByteSpan buffer) {
+  LW_CHECK(key.size() == kAeadKeySize);
+  LW_CHECK(nonce.size() == kAeadNonceSize);
+  if (buffer.size() < kAeadTagSize) {
+    return PermissionDeniedError("ciphertext shorter than tag");
+  }
+  const MutableByteSpan text = buffer.first(buffer.size() - kAeadTagSize);
+  std::uint8_t expected[16];
+  ComputeTag(key, nonce, aad, text, expected);
+  // Verify before decrypting: a forged buffer is never touched.
+  if (!ct::Eq(ByteSpan(expected, 16), buffer.last(kAeadTagSize))) {
+    return PermissionDeniedError("AEAD tag mismatch");
+  }
+  ChaCha20Xor(key, nonce, 1, text);
+  return Status::Ok();
+}
 
 Bytes AeadSeal(ByteSpan key, ByteSpan nonce, ByteSpan aad,
                ByteSpan plaintext) {
-  LW_CHECK(key.size() == kAeadKeySize);
-  LW_CHECK(nonce.size() == kAeadNonceSize);
-  Bytes out(plaintext.begin(), plaintext.end());
-  ChaCha20Xor(key, nonce, 1, out);
-  const Bytes poly_key = DerivePolyKey(key, nonce);
-  std::uint8_t tag[16];
-  ComputeTag(poly_key, aad, out, tag);
-  out.insert(out.end(), tag, tag + 16);
+  Bytes out(plaintext.size() + kAeadTagSize);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  AeadSealInPlace(key, nonce, aad, out);
   return out;
 }
 
 Result<Bytes> AeadOpen(ByteSpan key, ByteSpan nonce, ByteSpan aad,
                        ByteSpan ciphertext_and_tag) {
-  LW_CHECK(key.size() == kAeadKeySize);
-  LW_CHECK(nonce.size() == kAeadNonceSize);
-  if (ciphertext_and_tag.size() < kAeadTagSize) {
-    return PermissionDeniedError("ciphertext shorter than tag");
-  }
-  const ByteSpan ct = ciphertext_and_tag.first(
-      ciphertext_and_tag.size() - kAeadTagSize);
-  const ByteSpan tag = ciphertext_and_tag.last(kAeadTagSize);
-
-  const Bytes poly_key = DerivePolyKey(key, nonce);
-  std::uint8_t expected[16];
-  ComputeTag(poly_key, aad, ct, expected);
-  if (!ct::Eq(ByteSpan(expected, 16), tag)) {
-    return PermissionDeniedError("AEAD tag mismatch");
-  }
-  Bytes out(ct.begin(), ct.end());
-  ChaCha20Xor(key, nonce, 1, out);
+  Bytes out(ciphertext_and_tag.begin(), ciphertext_and_tag.end());
+  LW_RETURN_IF_ERROR(AeadOpenInPlace(key, nonce, aad, out));
+  out.resize(out.size() - kAeadTagSize);
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "crypto/portable.h"
 #include "util/check.h"
 
 #if defined(__AES__) && defined(__SSE2__)
@@ -188,9 +189,7 @@ void Aes128::EncryptBlocks(const std::uint8_t* in, std::uint8_t* out,
     return;
   }
 #endif
-  for (std::size_t i = 0; i < n; ++i) {
-    SoftEncryptBlock(round_keys_, in + i * 16, out + i * 16);
-  }
+  portable::AesEncryptBlocks(*this, in, out, n);
 }
 
 void Aes128::MmoBlocks(const std::uint8_t* in, std::uint8_t* out,
@@ -201,11 +200,26 @@ void Aes128::MmoBlocks(const std::uint8_t* in, std::uint8_t* out,
     return;
   }
 #endif
+  portable::AesMmoBlocks(*this, in, out, n);
+}
+
+namespace portable {
+
+void AesEncryptBlocks(const Aes128& aes, const std::uint8_t* in,
+                      std::uint8_t* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    SoftEncryptBlock(aes.round_keys(), in + i * 16, out + i * 16);
+  }
+}
+
+void AesMmoBlocks(const Aes128& aes, const std::uint8_t* in,
+                  std::uint8_t* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     std::uint8_t tmp[16];
-    SoftEncryptBlock(round_keys_, in + i * 16, tmp);
+    SoftEncryptBlock(aes.round_keys(), in + i * 16, tmp);
     for (int j = 0; j < 16; ++j) out[i * 16 + j] = tmp[j] ^ in[i * 16 + j];
   }
 }
 
+}  // namespace portable
 }  // namespace lw::crypto

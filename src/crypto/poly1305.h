@@ -23,11 +23,10 @@ class Poly1305State {
   void Finish(std::uint8_t tag[kPoly1305TagSize]);
 
  private:
-  void ProcessBlock(const std::uint8_t block[16], std::uint32_t hibit);
-
-  std::uint32_t r_[5];
-  std::uint32_t h_[5] = {0, 0, 0, 0, 0};
-  std::uint8_t pad_[16];
+  // Limbs of 44, 44 and 42 bits: x = x[0] + x[1]·2^44 + x[2]·2^88.
+  std::uint64_t r_[3];
+  std::uint64_t h_[3] = {0, 0, 0};
+  std::uint64_t pad_[2];
   std::uint8_t buf_[16];
   std::size_t buffered_ = 0;
 };

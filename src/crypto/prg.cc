@@ -1,5 +1,7 @@
 #include "crypto/prg.h"
 
+#include "crypto/portable.h"
+
 #if defined(__AES__) && defined(__SSE2__)
 #define LW_PRG_AESNI 1
 #include <immintrin.h>
@@ -162,21 +164,8 @@ void DpfPrg::ExpandLevel(const std::uint8_t* seeds, const std::uint8_t* ts,
     return;
   }
 #endif
-  ExpandBatch(seeds, n, /*left=*/next, /*right=*/next + n * kPrgSeedSize,
-              /*t_left=*/next_t, /*t_right=*/next_t + n);
-  const std::uint64_t cw_lo = LoadLE64(cw_seed);
-  const std::uint64_t cw_hi = LoadLE64(cw_seed + 8);
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t mask = BitMask(ts[j]);
-    for (std::uint8_t* child :
-         {next + j * kPrgSeedSize, next + (n + j) * kPrgSeedSize}) {
-      StoreLE64(child, LoadLE64(child) ^ (cw_lo & mask));
-      StoreLE64(child + 8, LoadLE64(child + 8) ^ (cw_hi & mask));
-    }
-    next_t[j] = static_cast<std::uint8_t>(next_t[j] ^ (ts[j] & cw_t_left));
-    next_t[n + j] =
-        static_cast<std::uint8_t>(next_t[n + j] ^ (ts[j] & cw_t_right));
-  }
+  portable::DpfExpandLevel(*this, seeds, ts, n, cw_seed, cw_t_left,
+                           cw_t_right, next, next_t);
 }
 
 void DpfPrg::ConvertLeaves(const std::uint8_t* seeds, const std::uint8_t* ts,
@@ -195,16 +184,51 @@ void DpfPrg::ConvertLeaves(const std::uint8_t* seeds, const std::uint8_t* ts,
     return;
   }
 #endif
+  portable::DpfConvertLeaves(*this, seeds, ts, n, output_cw, out);
+}
+
+namespace portable {
+
+void DpfExpandLevel(const DpfPrg& prg, const std::uint8_t* seeds,
+                    const std::uint8_t* ts, std::size_t n,
+                    const std::uint8_t cw_seed[kPrgSeedSize],
+                    std::uint8_t cw_t_left, std::uint8_t cw_t_right,
+                    std::uint8_t* next, std::uint8_t* next_t) {
+  AesMmoBlocks(prg.left_cipher(), seeds, next, n);
+  AesMmoBlocks(prg.right_cipher(), seeds, next + n * kPrgSeedSize, n);
+  const std::uint64_t cw_lo = LoadLE64(cw_seed);
+  const std::uint64_t cw_hi = LoadLE64(cw_seed + 8);
+  const std::uint8_t cw_t[2] = {cw_t_left, cw_t_right};
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t mask = BitMask(ts[j]);
+    for (std::size_t side = 0; side < 2; ++side) {
+      std::uint8_t* const child = next + (side * n + j) * kPrgSeedSize;
+      const auto t = static_cast<std::uint8_t>(child[0] & 1);
+      child[0] &= 0xfe;
+      StoreLE64(child, LoadLE64(child) ^ (cw_lo & mask));
+      StoreLE64(child + 8, LoadLE64(child + 8) ^ (cw_hi & mask));
+      next_t[side * n + j] =
+          static_cast<std::uint8_t>(t ^ (ts[j] & cw_t[side]));
+    }
+  }
+}
+
+void DpfConvertLeaves(const DpfPrg& prg, const std::uint8_t* seeds,
+                      const std::uint8_t* ts, std::size_t n,
+                      const std::uint8_t output_cw[kPrgSeedSize],
+                      std::uint64_t* out) {
   const std::uint64_t cw_lo = LoadLE64(output_cw);
   const std::uint64_t cw_hi = LoadLE64(output_cw + 8);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint8_t leaf[kPrgSeedSize];
-    aes_convert_.MmoBlocks(seeds + i * kPrgSeedSize, leaf, 1);
+    AesMmoBlocks(prg.convert_cipher(), seeds + i * kPrgSeedSize, leaf, 1);
     const std::uint64_t mask = BitMask(ts[i]);
     out[2 * i] = LoadLE64(leaf) ^ (cw_lo & mask);
     out[2 * i + 1] = LoadLE64(leaf + 8) ^ (cw_hi & mask);
   }
 }
+
+}  // namespace portable
 
 const DpfPrg& SharedDpfPrg() {
   // Deliberately leaked singleton (same rationale as lw::SecureRandomBytes's

@@ -62,6 +62,12 @@ class DpfPrg {
                      std::size_t n, const std::uint8_t output_cw[kPrgSeedSize],
                      std::uint64_t* out) const;
 
+  // The three fixed-key ciphers, for the portable kernels
+  // (crypto/portable.h).
+  const Aes128& left_cipher() const { return aes_left_; }
+  const Aes128& right_cipher() const { return aes_right_; }
+  const Aes128& convert_cipher() const { return aes_convert_; }
+
  private:
   Aes128 aes_left_;
   Aes128 aes_right_;

@@ -140,6 +140,11 @@ Metrics& M() {
           "lw_server_request_ns",
           "per-request server latency, decode through reply", "ns",
           LatencyBounds()),
+      Registry::Default().AddHistogram(
+          "lw_enclave_answer_ns",
+          "enclave answer to one sealed request: channel open, ORAM "
+          "access and reply seal",
+          "ns", LatencyBounds()),
 
       Registry::Default().AddCounter(
           "lw_frontend_requests_total",

@@ -178,6 +178,9 @@ struct Metrics {
   Counter& server_request_errors;
   Gauge& server_active_connections;
   Histogram& server_request_ns;  // decode → reply, per request
+  // The enclave's answer to one sealed request (open, ORAM access, seal).
+  // A hit and a miss do the same ORAM work, so it carries no outcome.
+  Histogram& enclave_answer_ns;
 
   // Sharded deployment (§5.2): front-ends and shard data servers.
   Counter& frontend_requests;

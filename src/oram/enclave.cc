@@ -57,18 +57,22 @@ Result<Bytes> EnclaveClient::OpenResponse(ByteSpan response) {
     return ProtocolError("enclave response too short");
   }
   const ByteSpan nonce = response.first(crypto::kAeadNonceSize);
-  LW_ASSIGN_OR_RETURN(
-      Bytes plain,
-      crypto::AeadOpen(last_channel_key_, nonce, ToBytes(kResponseAad),
-                       response.subspan(crypto::kAeadNonceSize)));
-  if (plain.size() < 5) return ProtocolError("malformed enclave response");
+  Bytes plain(response.begin() + crypto::kAeadNonceSize, response.end());
+  LW_RETURN_IF_ERROR(crypto::AeadOpenInPlace(
+      last_channel_key_, nonce, ToBytes(kResponseAad), plain));
+  // plain is status || u32 length || value || pad || tag.
+  if (plain.size() < 5 + crypto::kAeadTagSize) {
+    return ProtocolError("malformed enclave response");
+  }
   const std::uint8_t status = plain[0];
   if (status == 0) return NotFoundError("key not present in enclave store");
   const std::uint32_t len = LoadLE32(plain.data() + 1);
-  if (len > plain.size() - 5) {
+  if (len > plain.size() - 5 - crypto::kAeadTagSize) {
     return ProtocolError("enclave response length field corrupt");
   }
-  return Bytes(plain.begin() + 5, plain.begin() + 5 + len);
+  plain.erase(plain.begin(), plain.begin() + 5);
+  plain.resize(len);
+  return plain;
 }
 
 // ------------------------------------------------------------- enclave
@@ -147,26 +151,29 @@ Result<Bytes> KvEnclave::HandleEncryptedRequest(ByteSpan request) {
                                        crypto::kAeadNonceSize)));
   const std::string key = ToString(key_bytes);
 
-  // Fixed-size response plaintext regardless of hit/miss: the host cannot
-  // distinguish outcomes by length.
-  Bytes plain(1 + 4 + config_.value_size, 0);
+  // Fixed-size response regardless of hit/miss, so the host cannot
+  // distinguish outcomes by length: nonce || status || u32 length || value
+  // || zero pad || tag, sealed in place.
+  constexpr std::size_t kHeader = crypto::kAeadNonceSize + 5;
+  Bytes out(kHeader + config_.value_size + crypto::kAeadTagSize, 0);
   auto looked_up = LookupInsideEnclave(key);
   if (looked_up.ok()) {
-    plain[0] = 1;
+    out[crypto::kAeadNonceSize] = 1;
     const std::uint32_t len = LoadLE32(looked_up->data());
-    StoreLE32(plain.data() + 1, len);
-    std::copy(looked_up->begin() + 4, looked_up->end(), plain.begin() + 5);
+    StoreLE32(out.data() + crypto::kAeadNonceSize + 1, len);
+    std::copy(looked_up->begin() + 4, looked_up->end(),
+              out.begin() + kHeader);
     // Hit/miss steers only the contents of the fixed-size encrypted
     // response, which the host cannot read. lwlint: allow(secret-taint-branch)
   } else if (looked_up.status().code() != StatusCode::kNotFound) {
     return looked_up.status();
   }
 
-  const Bytes resp_nonce = SecureRandom(crypto::kAeadNonceSize);
-  Bytes out = resp_nonce;
-  const Bytes ct = crypto::AeadSeal(channel_key, resp_nonce,
-                                    ToBytes(kResponseAad), plain);
-  out.insert(out.end(), ct.begin(), ct.end());
+  const MutableByteSpan buf(out);
+  const MutableByteSpan resp_nonce = buf.first(crypto::kAeadNonceSize);
+  SecureRandomBytes(resp_nonce);
+  crypto::AeadSealInPlace(channel_key, resp_nonce, ToBytes(kResponseAad),
+                          buf.subspan(crypto::kAeadNonceSize));
   return out;
 }
 

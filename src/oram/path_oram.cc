@@ -42,7 +42,11 @@ PathOram::PathOram(const PathOramConfig& config, UntrustedStorage& storage,
     : config_(config),
       storage_(storage),
       key_(encryption_key.begin(), encryption_key.end()),
-      levels_(LevelsForCapacity(config.capacity)) {
+      levels_(LevelsForCapacity(config.capacity)),
+      seal_buf_(crypto::kAeadNonceSize +
+                static_cast<std::size_t>(config.bucket_capacity) *
+                    (kSlotHeader + config.block_size) +
+                crypto::kAeadTagSize) {
   LW_CHECK_MSG(config.capacity > 0, "capacity must be positive");
   LW_CHECK_MSG(config.block_size > 0, "block_size must be positive");
   LW_CHECK_MSG(config.bucket_capacity >= 1, "bucket_capacity must be >= 1");
@@ -61,45 +65,57 @@ std::size_t PathOram::BucketIndex(int level, std::uint64_t leaf) const {
          static_cast<std::size_t>(leaf >> (levels_ - 1 - level));
 }
 
-Bytes PathOram::SealBucket(const std::vector<Block>& blocks) {
+void PathOram::SealBucket(int level, std::size_t bucket) {
   const std::size_t z = static_cast<std::size_t>(config_.bucket_capacity);
-  LW_CHECK(blocks.size() <= z);
-  Bytes plain(z * (kSlotHeader + config_.block_size), 0);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    std::uint8_t* slot = plain.data() + i * (kSlotHeader + config_.block_size);
-    slot[0] = 1;
-    StoreLE64(slot + 1, blocks[i].id);
-    LW_CHECK(blocks[i].data.size() == config_.block_size);
-    std::memcpy(slot + kSlotHeader, blocks[i].data.data(), config_.block_size);
+  const std::size_t slot_size = kSlotHeader + config_.block_size;
+  std::uint8_t* const slots = seal_buf_.data() + crypto::kAeadNonceSize;
+  std::size_t used = 0;
+  for (auto it = stash_.begin(); it != stash_.end() && used < z;) {
+    const std::uint64_t p = position_[it->first];
+    if (BucketIndex(level, p) == bucket) {
+      std::uint8_t* slot = slots + used * slot_size;
+      slot[0] = 1;
+      StoreLE64(slot + 1, it->first);
+      LW_CHECK(it->second.size() == config_.block_size);
+      std::memcpy(slot + kSlotHeader, it->second.data(), config_.block_size);
+      ++used;
+      it = stash_.erase(it);
+    } else {
+      ++it;
+    }
   }
-  const Bytes nonce = SecureRandom(crypto::kAeadNonceSize);
-  Bytes sealed = nonce;
-  const Bytes ct = crypto::AeadSeal(key_, nonce, ToBytes("oram-bucket"), plain);
-  sealed.insert(sealed.end(), ct.begin(), ct.end());
-  return sealed;
+  // Empty slots seal as zeros.
+  std::memset(slots + used * slot_size, 0, (z - used) * slot_size);
+  const MutableByteSpan nonce(seal_buf_.data(), crypto::kAeadNonceSize);
+  SecureRandomBytes(nonce);
+  crypto::AeadSealInPlace(
+      key_, nonce, ToBytes("oram-bucket"),
+      MutableByteSpan(seal_buf_).subspan(crypto::kAeadNonceSize));
+  storage_.WriteBucket(bucket, seal_buf_);
 }
 
-std::vector<PathOram::Block> PathOram::OpenBucket(ByteSpan sealed) {
-  if (sealed.empty()) return {};  // never-written bucket
-  if (sealed.size() < crypto::kAeadNonceSize) return {};
-  const ByteSpan nonce = sealed.first(crypto::kAeadNonceSize);
-  auto plain = crypto::AeadOpen(key_, nonce, ToBytes("oram-bucket"),
-                                sealed.subspan(crypto::kAeadNonceSize));
+void PathOram::OpenBucket(Bytes sealed) {
+  // A never-written bucket reads empty.
+  if (sealed.size() < crypto::kAeadNonceSize) return;
+  const MutableByteSpan buf(sealed);
   // ZLTP does not promise integrity/availability against a malicious host
   // (paper §2.1 non-goals); a tampered bucket is treated as empty.
-  if (!plain.ok()) return {};
-  std::vector<Block> out;
-  const std::size_t slot_size = kSlotHeader + config_.block_size;
-  for (std::size_t off = 0; off + slot_size <= plain->size();
-       off += slot_size) {
-    const std::uint8_t* slot = plain->data() + off;
-    if (slot[0] != 1) continue;
-    Block b;
-    b.id = LoadLE64(slot + 1);
-    b.data.assign(slot + kSlotHeader, slot + slot_size);
-    out.push_back(std::move(b));
+  if (!crypto::AeadOpenInPlace(key_, buf.first(crypto::kAeadNonceSize),
+                               ToBytes("oram-bucket"),
+                               buf.subspan(crypto::kAeadNonceSize))
+           .ok()) {
+    return;
   }
-  return out;
+  const std::size_t slot_size = kSlotHeader + config_.block_size;
+  const std::size_t plain_size =
+      sealed.size() - crypto::kAeadNonceSize - crypto::kAeadTagSize;
+  const std::uint8_t* const plain = sealed.data() + crypto::kAeadNonceSize;
+  for (std::size_t off = 0; off + slot_size <= plain_size; off += slot_size) {
+    const std::uint8_t* slot = plain + off;
+    if (slot[0] != 1) continue;
+    stash_.try_emplace(LoadLE64(slot + 1), slot + kSlotHeader,
+                       slot + slot_size);
+  }
 }
 
 Result<Bytes> PathOram::Access(Op op, LW_SECRET std::uint64_t block_id,
@@ -121,9 +137,7 @@ Result<Bytes> PathOram::Access(Op op, LW_SECRET std::uint64_t block_id,
 
   // Read the whole path into the stash.
   for (int level = 0; level < levels_; ++level) {
-    for (Block& b : OpenBucket(storage_.ReadBucket(BucketIndex(level, leaf)))) {
-      stash_.emplace(b.id, std::move(b.data));
-    }
+    OpenBucket(storage_.ReadBucket(BucketIndex(level, leaf)));
   }
 
   Result<Bytes> result = NotFoundError("block never written");
@@ -157,20 +171,7 @@ Result<Bytes> PathOram::Access(Op op, LW_SECRET std::uint64_t block_id,
   // Write the path back, evicting stash blocks as deep as their (new)
   // positions allow.
   for (int level = levels_ - 1; level >= 0; --level) {
-    const std::size_t bucket = BucketIndex(level, leaf);
-    std::vector<Block> chosen;
-    for (auto it = stash_.begin();
-         it != stash_.end() &&
-         chosen.size() < static_cast<std::size_t>(config_.bucket_capacity);) {
-      const std::uint64_t p = position_[it->first];
-      if (BucketIndex(level, p) == bucket) {
-        chosen.push_back(Block{it->first, std::move(it->second)});
-        it = stash_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    storage_.WriteBucket(bucket, SealBucket(chosen));
+    SealBucket(level, BucketIndex(level, leaf));
   }
   return result;
 }

@@ -66,18 +66,18 @@ class PathOram {
   std::uint64_t leaf_count() const { return std::uint64_t{1} << (levels_ - 1); }
 
  private:
-  struct Block {
-    std::uint64_t id;
-    Bytes data;
-  };
-
   enum class Op { kRead, kWrite, kDummy };
   Result<Bytes> Access(Op op, LW_SECRET std::uint64_t block_id,
                        ByteSpan new_data);
 
   std::size_t BucketIndex(int level, std::uint64_t leaf) const;
-  Bytes SealBucket(const std::vector<Block>& blocks);
-  std::vector<Block> OpenBucket(ByteSpan sealed);
+  // Opens a bucket read from storage in place and copies its blocks into
+  // the stash; a never-written or tampered bucket adds nothing.
+  void OpenBucket(Bytes sealed);
+  // Moves up to Z stash blocks whose paths pass through `bucket` (at
+  // `level` of the path being written back) into seal_buf_, seals it and
+  // writes the bucket to storage.
+  void SealBucket(int level, std::size_t bucket);
 
   PathOramConfig config_;
   UntrustedStorage& storage_;
@@ -86,6 +86,9 @@ class PathOram {
   // Enclave-private state: position map (block -> leaf) and stash.
   std::vector<std::uint64_t> position_;
   std::unordered_map<std::uint64_t, Bytes> stash_;
+  // nonce || Z slots || tag: the enclave-private buffer every bucket is
+  // built and sealed in before one copy into storage.
+  Bytes seal_buf_;
 };
 
 // Constant-time stash selection (the data-oblivious core of PathOram::Read,

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace lw::zltp {
 namespace {
@@ -87,8 +88,15 @@ Result<std::vector<Bytes>> ZltpEnclaveServer::AnswerBatch(
   std::vector<Bytes> sealed;
   sealed.reserve(requests.size());
   for (const Bytes& request : requests) {
-    LW_ASSIGN_OR_RETURN(Bytes reply, enclave_.HandleEncryptedRequest(request));
-    sealed.push_back(std::move(reply));
+    // The enclave's answer is this mode's scan stage: its trace carries
+    // the time as scan_ns.
+    const auto start = obs::TraceNow();
+    Result<Bytes> reply = enclave_.HandleEncryptedRequest(request);
+    const std::uint64_t ns = obs::ElapsedNs(start);
+    obs::M().enclave_answer_ns.Observe(ns);
+    obs::AddScanNs(ns);
+    if (!reply.ok()) return reply.status();
+    sealed.push_back(std::move(*reply));
   }
   return sealed;
 }

@@ -3,7 +3,9 @@
 // plus structural/property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "crypto/aead.h"
 #include "crypto/aes128.h"
@@ -11,6 +13,7 @@
 #include "crypto/ct.h"
 #include "crypto/hkdf.h"
 #include "crypto/poly1305.h"
+#include "crypto/portable.h"
 #include "crypto/prg.h"
 #include "crypto/sha256.h"
 #include "crypto/siphash.h"
@@ -134,6 +137,26 @@ TEST(Aes128, EncryptInPlace) {
   EXPECT_EQ(HexEncode(buf), "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
+TEST(Aes128, PortableRoundsMatchDispatchedPath) {
+  // On an AES-NI host the dispatched path runs the hardware rounds; the
+  // portable rounds must give the same bytes.
+  Rng rng(1197);
+  for (std::size_t n = 0; n <= 37; ++n) {
+    Bytes key(16);
+    rng.Fill(key);
+    const Aes128 aes(key);
+    Bytes in(n * 16);
+    rng.Fill(in);
+    Bytes want(in.size()), got(in.size());
+    aes.EncryptBlocks(in.data(), want.data(), n);
+    portable::AesEncryptBlocks(aes, in.data(), got.data(), n);
+    EXPECT_EQ(got, want) << "EncryptBlocks n=" << n;
+    aes.MmoBlocks(in.data(), want.data(), n);
+    portable::AesMmoBlocks(aes, in.data(), got.data(), n);
+    EXPECT_EQ(got, want) << "MmoBlocks n=" << n;
+  }
+}
+
 // ---------------------------------------------------------------- ChaCha20
 
 TEST(ChaCha20, Rfc8439BlockFunction) {
@@ -180,6 +203,71 @@ TEST(ChaCha20, CounterAdvancesAcrossBlocks) {
   EXPECT_TRUE(std::equal(second.begin(), second.end(), long_buf.begin() + 64));
 }
 
+// ChaCha20Xor over `len` bytes must equal the XOR with consecutive
+// ChaCha20Block outputs from `counter` (wrapping mod 2^32), whichever
+// step (eight blocks or one) produced them.
+void ExpectXorMatchesBlocks(ByteSpan key, ByteSpan nonce, std::uint32_t counter,
+                            std::size_t len, std::size_t offset, Rng& rng) {
+  Bytes buf(offset + len + 64);
+  rng.Fill(buf);
+  const Bytes before = buf;
+  ChaCha20Xor(key, nonce, counter,
+              MutableByteSpan(buf.data() + offset, len));
+  Bytes want = before;
+  std::uint8_t block[64];
+  for (std::size_t off = 0; off < len; off += 64) {
+    ChaCha20Block(key, nonce, static_cast<std::uint32_t>(counter + off / 64),
+                  block);
+    for (std::size_t i = 0; i < 64 && off + i < len; ++i) {
+      want[offset + off + i] ^= block[i];
+    }
+  }
+  ASSERT_EQ(buf, want) << "len=" << len << " offset=" << offset
+                       << " counter=" << counter;
+}
+
+TEST(ChaCha20, EveryLengthMatchesBlockFunction) {
+  Rng rng(8439);
+  Bytes key(32), nonce(12);
+  rng.Fill(key);
+  rng.Fill(nonce);
+  // 2^32 - 3: the counter wraps inside the first eight-block step.
+  for (const std::uint32_t counter : {1u, 0xfffffffdu}) {
+    for (std::size_t len = 0; len <= 2112; ++len) {
+      ExpectXorMatchesBlocks(key, nonce, counter, len, 0, rng);
+    }
+  }
+}
+
+TEST(ChaCha20, UnalignedBuffersMatchBlockFunction) {
+  Rng rng(8440);
+  Bytes key(32), nonce(12);
+  rng.Fill(key);
+  rng.Fill(nonce);
+  for (const std::uint32_t counter : {1u, 0xfffffffdu}) {
+    for (std::size_t offset = 1; offset <= 63; ++offset) {
+      for (const std::size_t len : {std::size_t{512}, std::size_t{1100}}) {
+        ExpectXorMatchesBlocks(key, nonce, counter, len, offset, rng);
+      }
+    }
+  }
+}
+
+TEST(ChaCha20, PortableMatchesDispatchedPath) {
+  Rng rng(8441);
+  for (std::size_t len = 0; len <= 1600; len += 37) {
+    Bytes key(32), nonce(12), data(len);
+    rng.Fill(key);
+    rng.Fill(nonce);
+    rng.Fill(data);
+    const auto counter = static_cast<std::uint32_t>(rng.Next());
+    Bytes want = data;
+    ChaCha20Xor(key, nonce, counter, want);
+    portable::ChaCha20Xor(key, nonce, counter, data);
+    EXPECT_EQ(data, want) << "len=" << len << " counter=" << counter;
+  }
+}
+
 // ---------------------------------------------------------------- Poly1305
 
 TEST(Poly1305, Rfc8439Vector) {
@@ -215,6 +303,125 @@ TEST(Poly1305, EmptyMessage) {
   std::uint8_t expected[16];
   std::memcpy(expected, key.data() + 16, 16);
   EXPECT_EQ(0, std::memcmp(tag, expected, 16));
+}
+
+// The 26-bit-limb Poly1305 ("donna-32", one block per multiply chain) the
+// library used before its 44-bit, four-block form: the reference the
+// library's tags must equal.
+void ReferencePoly1305(ByteSpan key, ByteSpan msg, std::uint8_t tag[16]) {
+  using U32 = std::uint32_t;
+  using U64 = std::uint64_t;
+  const std::uint8_t* k = key.data();
+  const U32 r0 = LoadLE32(k + 0) & 0x3ffffff;
+  const U32 r1 = (LoadLE32(k + 3) >> 2) & 0x3ffff03;
+  const U32 r2 = (LoadLE32(k + 6) >> 4) & 0x3ffc0ff;
+  const U32 r3 = (LoadLE32(k + 9) >> 6) & 0x3f03fff;
+  const U32 r4 = (LoadLE32(k + 12) >> 8) & 0x00fffff;
+  const U32 s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+  U32 h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
+  for (std::size_t off = 0; off < msg.size(); off += 16) {
+    std::uint8_t m[16] = {0};
+    const std::size_t n = std::min<std::size_t>(16, msg.size() - off);
+    std::memcpy(m, msg.data() + off, n);
+    U32 hibit = 1;
+    if (n < 16) {
+      m[n] = 1;
+      hibit = 0;
+    }
+    h0 += LoadLE32(m + 0) & 0x3ffffff;
+    h1 += (LoadLE32(m + 3) >> 2) & 0x3ffffff;
+    h2 += (LoadLE32(m + 6) >> 4) & 0x3ffffff;
+    h3 += (LoadLE32(m + 9) >> 6) & 0x3ffffff;
+    h4 += (LoadLE32(m + 12) >> 8) | (hibit << 24);
+    const U64 d0 = U64(h0) * r0 + U64(h1) * s4 + U64(h2) * s3 +
+                   U64(h3) * s2 + U64(h4) * s1;
+    U64 d1 = U64(h0) * r1 + U64(h1) * r0 + U64(h2) * s4 + U64(h3) * s3 +
+             U64(h4) * s2;
+    U64 d2 = U64(h0) * r2 + U64(h1) * r1 + U64(h2) * r0 + U64(h3) * s4 +
+             U64(h4) * s3;
+    U64 d3 = U64(h0) * r3 + U64(h1) * r2 + U64(h2) * r1 + U64(h3) * r0 +
+             U64(h4) * s4;
+    U64 d4 = U64(h0) * r4 + U64(h1) * r3 + U64(h2) * r2 + U64(h3) * r1 +
+             U64(h4) * r0;
+    U64 c = d0 >> 26;
+    h0 = U32(d0) & 0x3ffffff;
+    d1 += c; c = d1 >> 26; h1 = U32(d1) & 0x3ffffff;
+    d2 += c; c = d2 >> 26; h2 = U32(d2) & 0x3ffffff;
+    d3 += c; c = d3 >> 26; h3 = U32(d3) & 0x3ffffff;
+    d4 += c; c = d4 >> 26; h4 = U32(d4) & 0x3ffffff;
+    h0 += U32(c) * 5;
+    h1 += h0 >> 26;
+    h0 &= 0x3ffffff;
+  }
+  U32 c;
+  c = h1 >> 26; h1 &= 0x3ffffff; h2 += c;
+  c = h2 >> 26; h2 &= 0x3ffffff; h3 += c;
+  c = h3 >> 26; h3 &= 0x3ffffff; h4 += c;
+  c = h4 >> 26; h4 &= 0x3ffffff; h0 += c * 5;
+  c = h0 >> 26; h0 &= 0x3ffffff; h1 += c;
+  U32 g0 = h0 + 5;
+  c = g0 >> 26; g0 &= 0x3ffffff;
+  U32 g1 = h1 + c;
+  c = g1 >> 26; g1 &= 0x3ffffff;
+  U32 g2 = h2 + c;
+  c = g2 >> 26; g2 &= 0x3ffffff;
+  U32 g3 = h3 + c;
+  c = g3 >> 26; g3 &= 0x3ffffff;
+  const U32 g4 = h4 + c - (1u << 26);
+  if ((g4 >> 31) == 0) {  // h >= p: take h - p
+    h0 = g0; h1 = g1; h2 = g2; h3 = g3; h4 = g4;
+  }
+  const U32 f[4] = {h0 | (h1 << 26), (h1 >> 6) | (h2 << 20),
+                    (h2 >> 12) | (h3 << 14), (h3 >> 18) | (h4 << 8)};
+  U64 acc = 0;
+  for (int i = 0; i < 4; ++i) {
+    acc = (acc >> 32) + f[i] + LoadLE32(k + 16 + 4 * i);
+    StoreLE32(tag + 4 * i, static_cast<U32>(acc));
+  }
+}
+
+TEST(Poly1305, EveryLengthMatchesReference) {
+  Rng rng(1305);
+  const Bytes ones(2048, 0xff);
+  Bytes random_key(32), random_msg(2048);
+  rng.Fill(random_key);
+  rng.Fill(random_msg);
+  const Bytes* const keys[] = {&random_key, &ones};
+  const Bytes* const msgs[] = {&random_msg, &ones};
+  for (const Bytes* key : keys) {
+    for (const Bytes* msg : msgs) {
+      for (std::size_t len = 0; len <= 2048; ++len) {
+        const ByteSpan m(msg->data(), len);
+        const ByteSpan k(key->data(), 32);
+        std::uint8_t want[16], got[16];
+        ReferencePoly1305(k, m, want);
+        Poly1305(k, m, got);
+        ASSERT_EQ(HexEncode(ByteSpan(got, 16)), HexEncode(ByteSpan(want, 16)))
+            << "len=" << len << " key 0xff=" << (key == &ones)
+            << " msg 0xff=" << (msg == &ones);
+      }
+    }
+  }
+}
+
+TEST(Poly1305, EveryTwoWaySplitMatchesReference) {
+  // Splits at 1..15 leave bytes buffered before a four-block step; splits
+  // past 64 fall between steps or inside one.
+  Rng rng(1306);
+  Bytes key(32), msg(200);
+  rng.Fill(key);
+  rng.Fill(msg);
+  std::uint8_t want[16];
+  ReferencePoly1305(key, msg, want);
+  for (std::size_t split = 0; split <= msg.size(); ++split) {
+    Poly1305State st(key);
+    st.Update(ByteSpan(msg.data(), split));
+    st.Update(ByteSpan(msg.data() + split, msg.size() - split));
+    std::uint8_t got[16];
+    st.Finish(got);
+    EXPECT_EQ(HexEncode(ByteSpan(got, 16)), HexEncode(ByteSpan(want, 16)))
+        << "split=" << split;
+  }
 }
 
 // ---------------------------------------------------------------- AEAD
@@ -293,6 +500,52 @@ TEST(Aead, TruncatedCiphertextRejected) {
   const Bytes key = SecureRandom(32);
   const Bytes nonce = SecureRandom(12);
   EXPECT_FALSE(AeadOpen(key, nonce, {}, Bytes(5)).ok());
+}
+
+TEST(Aead, InPlaceSealMatchesAeadSeal) {
+  Rng rng(8442);
+  for (const std::size_t len : {0u, 1u, 16u, 511u, 512u, 513u, 4100u}) {
+    Bytes key(32), nonce(12), aad(13), pt(len);
+    rng.Fill(key);
+    rng.Fill(nonce);
+    rng.Fill(aad);
+    rng.Fill(pt);
+    Bytes buf = pt;
+    buf.resize(len + kAeadTagSize);
+    AeadSealInPlace(key, nonce, aad, buf);
+    EXPECT_EQ(buf, AeadSeal(key, nonce, aad, pt)) << "len=" << len;
+    ASSERT_TRUE(AeadOpenInPlace(key, nonce, aad, buf).ok());
+    buf.resize(len);
+    EXPECT_EQ(buf, pt);
+  }
+}
+
+TEST(Aead, FailedInPlaceOpenLeavesBufferUnchanged) {
+  Rng rng(8443);
+  Bytes key(32), nonce(12), pt(1000);
+  rng.Fill(key);
+  rng.Fill(nonce);
+  rng.Fill(pt);
+  const Bytes sealed = AeadSeal(key, nonce, ToBytes("aad"), pt);
+  Bytes other_key = key;
+  other_key[0] ^= 1;
+  for (const std::size_t flip : {std::size_t{0}, std::size_t{600},
+                                 sealed.size() - 1}) {
+    Bytes buf = sealed;
+    buf[flip] ^= 0x40;
+    const Bytes forged = buf;
+    const Status s = AeadOpenInPlace(key, nonce, ToBytes("aad"), buf);
+    EXPECT_EQ(s.code(), StatusCode::kPermissionDenied) << "flip=" << flip;
+    EXPECT_EQ(buf, forged) << "flip=" << flip;
+  }
+  Bytes buf = sealed;
+  EXPECT_FALSE(AeadOpenInPlace(key, nonce, ToBytes("other"), buf).ok());
+  EXPECT_EQ(buf, sealed);
+  EXPECT_FALSE(AeadOpenInPlace(other_key, nonce, ToBytes("aad"), buf).ok());
+  EXPECT_EQ(buf, sealed);
+  Bytes short_buf(kAeadTagSize - 1, 0x33);
+  EXPECT_FALSE(AeadOpenInPlace(key, nonce, {}, short_buf).ok());
+  EXPECT_EQ(short_buf, Bytes(kAeadTagSize - 1, 0x33));
 }
 
 // ---------------------------------------------------------------- SHA-256

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <numeric>
 
+#include "crypto/portable.h"
+#include "crypto/prg.h"
 #include "dpf/dpf.h"
 #include "util/rand.h"
 
@@ -429,6 +431,48 @@ TEST(DpfLeaves, SplitOutsideTheTreeThrows) {
   EXPECT_THROW(EvalLeaves(root, TreeDepth(10) + 1, root.seed, root.t,
                           out.data()),
                InvariantViolation);
+}
+
+// The PRG's level and leaf kernels against their portable bodies, on random
+// seeds, control bits and corrections: on an AES-NI host the dispatched
+// kernels run the hardware rounds, and the portable ones (what a CPU without
+// AES-NI runs) must give the same bytes.
+TEST(DpfPrgPortable, ExpandLevelMatchesDispatchedKernel) {
+  const crypto::DpfPrg& prg = crypto::SharedDpfPrg();
+  Rng rng(4242);
+  for (std::size_t n = 1; n <= 41; ++n) {
+    Bytes seeds(n * crypto::kPrgSeedSize), ts(n), cw(crypto::kPrgSeedSize);
+    rng.Fill(seeds);
+    rng.Fill(cw);
+    for (auto& t : ts) t = static_cast<std::uint8_t>(rng.Next() & 1);
+    const auto cw_t_left = static_cast<std::uint8_t>(rng.Next() & 1);
+    const auto cw_t_right = static_cast<std::uint8_t>(rng.Next() & 1);
+    Bytes want(2 * seeds.size()), want_t(2 * n);
+    Bytes got(2 * seeds.size()), got_t(2 * n);
+    prg.ExpandLevel(seeds.data(), ts.data(), n, cw.data(), cw_t_left,
+                    cw_t_right, want.data(), want_t.data());
+    crypto::portable::DpfExpandLevel(prg, seeds.data(), ts.data(), n,
+                                     cw.data(), cw_t_left, cw_t_right,
+                                     got.data(), got_t.data());
+    EXPECT_EQ(got, want) << "n=" << n;
+    EXPECT_EQ(got_t, want_t) << "n=" << n;
+  }
+}
+
+TEST(DpfPrgPortable, ConvertLeavesMatchesDispatchedKernel) {
+  const crypto::DpfPrg& prg = crypto::SharedDpfPrg();
+  Rng rng(4243);
+  for (std::size_t n = 1; n <= 41; ++n) {
+    Bytes seeds(n * crypto::kPrgSeedSize), ts(n), cw(crypto::kPrgSeedSize);
+    rng.Fill(seeds);
+    rng.Fill(cw);
+    for (auto& t : ts) t = static_cast<std::uint8_t>(rng.Next() & 1);
+    std::vector<std::uint64_t> want(2 * n), got(2 * n);
+    prg.ConvertLeaves(seeds.data(), ts.data(), n, cw.data(), want.data());
+    crypto::portable::DpfConvertLeaves(prg, seeds.data(), ts.data(), n,
+                                       cw.data(), got.data());
+    EXPECT_EQ(got, want) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -20,6 +20,8 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oram/enclave.h"
+#include "oram/storage.h"
 #include "zltp/client.h"
 #include "zltp/server.h"
 #include "zltp/store.h"
@@ -393,6 +395,50 @@ TEST(EndToEnd, PirRoundTripPopulatesServingMetrics) {
 
   ASSERT_TRUE(store.Unpublish("obs.example/page").ok());
   EXPECT_EQ(m.store_records.Value(), records0);
+}
+
+// An enclave GET's answer (channel open, ORAM access, reply seal) is the
+// enclave mode's scan stage: the live server adds one lw_enclave_answer_ns
+// sample per answered request, and the request's trace carries the time as
+// scan_ns.
+TEST(EndToEnd, EnclaveGetTimesItsAnswer) {
+  const auto samples = [] {
+    std::uint64_t n = 0;
+    for (const std::uint64_t c : M().enclave_answer_ns.counts()) n += c;
+    return n;
+  };
+  oram::EnclaveConfig config;
+  config.capacity = 16;
+  config.value_size = 128;
+  oram::MemoryStorage storage(oram::KvEnclave::RequiredStorageBuckets(config));
+  oram::KvEnclave enclave(config, storage);
+  ASSERT_TRUE(enclave.Put("obs.example/enclave", ToBytes("sealed")).ok());
+
+  std::uint64_t samples0 = 0;
+  std::uint64_t traces0 = 0;
+  {
+    zltp::ZltpEnclaveServer server(enclave);
+    net::TransportPair p = net::CreateInMemoryPair();
+    server.ServeConnectionDetached(std::move(p.b));
+    auto session = zltp::EnclaveSession::Establish(
+        zltp::EstablishOptions::FromTransports(std::move(p.a)));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    samples0 = samples();
+    traces0 = TraceRing::Default().total_recorded();
+    auto value = session->PrivateGet("obs.example/enclave");
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_EQ(ToString(*value), "sealed");
+    session->Close();
+    // Scope end joins the server's threads (see the PIR test above).
+  }
+
+  EXPECT_EQ(samples(), samples0 + 1) << "one sample per enclave answer";
+  ASSERT_EQ(TraceRing::Default().total_recorded(), traces0 + 1);
+  const RequestTrace last = TraceRing::Default().Snapshot().back();
+  EXPECT_GT(last.stages.scan_ns, 0u)
+      << "the enclave's answer time must reach the trace";
+  EXPECT_EQ(last.stages.expand_ns, 0u) << "the enclave expands no DPF key";
+  EXPECT_LE(last.stages.scan_ns, last.total_ns);
 }
 
 }  // namespace

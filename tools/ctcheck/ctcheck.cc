@@ -10,11 +10,14 @@
 // A |t| above the threshold means the distributions differ, i.e. the
 // secret leaks into timing.
 //
-// Targets cover the three constant-time kernels the paper's privacy
-// argument leans on:
-//   aead-tag-verify   ChaCha20-Poly1305 tag rejection (mismatch position)
-//   poly1305-mac      Poly1305 final reduction (fixed vs random message)
-//   oram-stash-scan   Path ORAM stash selection (present vs absent id)
+// Targets cover the constant-time kernels the paper's privacy argument
+// leans on:
+//   aead-tag-verify     ChaCha20-Poly1305 in-place open's tag rejection
+//                       (mismatch position)
+//   poly1305-mac        Poly1305's four-block step, one-block tail and final
+//                       reduction (fixed vs random message)
+//   chacha20-keystream  ChaCha20's eight-block step (fixed vs random key)
+//   oram-stash-scan     Path ORAM stash selection (present vs absent id)
 // plus one deliberately variable-time reference:
 //   vartime-ref       early-exit byte compare — ctcheck must DETECT this
 //                     leak, or the harness itself is broken (self-test).
@@ -38,6 +41,7 @@
 #endif
 
 #include "crypto/aead.h"
+#include "crypto/chacha20.h"
 #include "crypto/poly1305.h"
 #include "oram/path_oram.h"
 #include "util/bytes.h"
@@ -173,7 +177,8 @@ Timings RunAeadTagVerify(std::size_t samples, Xorshift64& rng) {
   // Both classes submit a ciphertext whose tag is WRONG, so both take the
   // rejection path; they differ only in WHERE the forged tag first differs
   // from the correct one (byte 0 vs the whole tag randomized). An early-exit
-  // tag compare would reject class 0 faster.
+  // tag compare would reject class 0 faster. The in-place open checks the
+  // tag before it decrypts, so a rejected buffer stays as it was.
   const Bytes key(crypto::kAeadKeySize, 0x42);
   const Bytes nonce(crypto::kAeadNonceSize, 0x17);
   const Bytes aad = ToBytes("ctcheck-aead");
@@ -193,7 +198,7 @@ Timings RunAeadTagVerify(std::size_t samples, Xorshift64& rng) {
         }
       },
       [&] {
-        auto r = crypto::AeadOpen(key, nonce, aad, forged);
+        const Status r = crypto::AeadOpenInPlace(key, nonce, aad, forged);
         DoNotOptimize(&r);
       });
 }
@@ -201,6 +206,7 @@ Timings RunAeadTagVerify(std::size_t samples, Xorshift64& rng) {
 Timings RunPoly1305(std::size_t samples, Xorshift64& rng) {
   // Classic fixed-vs-random message under a fixed key: the final mod-p
   // reduction and the per-block carries must not depend on message words.
+  // 512 bytes run eight four-block steps.
   const Bytes key(crypto::kPoly1305KeySize, 0x5a);
   Bytes msg(512, 0);
   std::uint8_t tag[crypto::kPoly1305TagSize];
@@ -216,6 +222,30 @@ Timings RunPoly1305(std::size_t samples, Xorshift64& rng) {
       [&] {
         crypto::Poly1305(key, msg, tag);
         DoNotOptimize(tag);
+      });
+}
+
+Timings RunChaCha20(std::size_t samples, Xorshift64& rng) {
+  // Fixed key against random keys over 1 KiB, two eight-block steps: the
+  // rounds, the lane counters and the keystream transpose must not depend
+  // on key words.
+  const Bytes nonce(crypto::kChaChaNonceSize, 0x24);
+  Bytes key(crypto::kChaChaKeySize, 0);
+  Bytes fixed_key(crypto::kChaChaKeySize);
+  rng.Fill(fixed_key);
+  Bytes data(1024, 0x5c);
+  return Measure(
+      samples, rng, key,
+      [&](int cls, MutableByteSpan in) {
+        if (cls == 0) {
+          std::memcpy(in.data(), fixed_key.data(), in.size());
+        } else {
+          rng.Fill(in);
+        }
+      },
+      [&] {
+        crypto::ChaCha20Xor(key, nonce, 1, data);
+        DoNotOptimize(data.data());
       });
 }
 
@@ -283,6 +313,7 @@ struct Target {
 const Target kTargets[] = {
     {"aead-tag-verify", RunAeadTagVerify, false},
     {"poly1305-mac", RunPoly1305, false},
+    {"chacha20-keystream", RunChaCha20, false},
     {"oram-stash-scan", RunOramStashScan, false},
     {"vartime-ref", RunVartimeRef, true},
 };
@@ -366,7 +397,7 @@ int Main(int argc, char** argv) {
     r.leak = r.max_t > kLeakThreshold;
     r.pass = r.leak == r.expect_leak;
     all_pass = all_pass && r.pass;
-    std::printf("%-16s max|t| = %8.2f  %s%s\n", r.name.c_str(), r.max_t,
+    std::printf("%-18s max|t| = %8.2f  %s%s\n", r.name.c_str(), r.max_t,
                 r.leak ? "LEAK" : "constant-time",
                 r.pass ? "" : "  ** UNEXPECTED **");
     reports.push_back(std::move(r));
