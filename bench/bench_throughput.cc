@@ -15,15 +15,14 @@
 // per scenario into BENCH_throughput.json so CI can track the trajectory
 // (tools/bench/compare_bench.py fails on >15% req/s regressions).
 //
-// Scenarios cover both serving drivers (docs/ARCHITECTURE.md): the
-// transport pump, a reader and a writer thread per connection (the
-// threaded/* rows), and the epoll reactor, including a high-connection
-// reactor scenario (default 1024 concurrent connections, --conns=N) that
-// the pump could only match with two thousand kernel threads. Two sharded
-// front-end scenarios (frontend/*) stand up the full §5.2 deployment —
-// FrontEndServers over shard data servers, all multiplexed on one reactor
-// — and A/B one client against many so CI can assert the shard fan-out
-// pipelines instead of serializing.
+// The PIR scenarios (reactor/*) serve TCP on the epoll reactor, as
+// lightweb_serve does (docs/ARCHITECTURE.md), including a high-connection
+// scenario (default 1024 concurrent connections, --conns=N) that a thread
+// pair per connection could only match with two thousand kernel threads.
+// Two sharded front-end scenarios (frontend/*) stand up the full §5.2
+// deployment — FrontEndServers over shard data servers — and A/B one
+// client against many so CI can assert the shard fan-out pipelines instead
+// of serializing.
 //
 // Flags: --smoke (CI-sized run), --threads=N (server scan/expand pool),
 // --json=PATH (default BENCH_throughput.json), --clients=N, --requests=N
@@ -77,9 +76,6 @@ struct ThroughputParams {
 struct Scenario {
   std::string name;
   std::chrono::milliseconds max_wait{2};
-  // true: one epoll reactor serves both logical servers. false: blocking
-  // thread-per-connection (the A/B baseline).
-  bool reactor = false;
   // Per-scenario overrides (0 = take the ThroughputParams value). The
   // high-connection scenario trades requests-per-client for client count
   // so total work stays bounded while concurrency scales.
@@ -92,8 +88,7 @@ struct Scenario {
 };
 
 const char* ServeName(const Scenario& s) {
-  if (s.frontend) return "frontend";
-  return s.reactor ? "reactor" : "threaded";
+  return s.frontend ? "frontend" : "reactor";
 }
 
 struct ScenarioResult {
@@ -259,32 +254,14 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
   zltp::ZltpPirServer server0(store, 0, options);
   zltp::ZltpPirServer server1(store, 1, options);
 
-  std::uint16_t port0 = 0;
-  std::uint16_t port1 = 0;
-  std::optional<net::TcpListener> tlistener0;
-  std::optional<net::TcpListener> tlistener1;
-  std::thread accept0;
-  std::thread accept1;
-  if (scenario.reactor) {
-    auto listener0 = net::TcpListener::Listen(0);
-    auto listener1 = net::TcpListener::Listen(0);
-    LW_CHECK(listener0.ok() && listener1.ok());
-    port0 = listener0->bound_port();
-    port1 = listener1->bound_port();
-    LW_CHECK(server0.ServeOnReactor(reactor, std::move(*listener0)).ok());
-    LW_CHECK(server1.ServeOnReactor(reactor, std::move(*listener1)).ok());
-    LW_CHECK(reactor.Start().ok());
-  } else {
-    auto listener0 = net::TcpListener::Listen(0);
-    auto listener1 = net::TcpListener::Listen(0);
-    LW_CHECK(listener0.ok() && listener1.ok());
-    port0 = listener0->bound_port();
-    port1 = listener1->bound_port();
-    tlistener0.emplace(std::move(*listener0));
-    tlistener1.emplace(std::move(*listener1));
-    accept0 = AcceptLoop(*tlistener0, server0);
-    accept1 = AcceptLoop(*tlistener1, server1);
-  }
+  auto listener0 = net::TcpListener::Listen(0);
+  auto listener1 = net::TcpListener::Listen(0);
+  LW_CHECK(listener0.ok() && listener1.ok());
+  const std::uint16_t port0 = listener0->bound_port();
+  const std::uint16_t port1 = listener1->bound_port();
+  LW_CHECK(server0.ServeOnReactor(reactor, std::move(*listener0)).ok());
+  LW_CHECK(server1.ServeOnReactor(reactor, std::move(*listener1)).ok());
+  LW_CHECK(reactor.Start().ok());
 
   // Warmup batches must not count against this scenario's stats, so the
   // snapshot happens at the start barrier.
@@ -293,15 +270,7 @@ ScenarioResult RunScenario(const zltp::PirStore& store,
       port0, port1, store.domain_bits(), params,
       [&] { stats_before = server0.batch_stats(); });
   const auto stats_after = server0.batch_stats();
-
-  if (scenario.reactor) {
-    reactor.Stop();
-  } else {
-    tlistener0->Close();
-    tlistener1->Close();
-    accept0.join();
-    accept1.join();
-  }
+  reactor.Stop();
 
   ScenarioResult result = FillResult(scenario, load);
   result.batches = stats_after.batches - stats_before.batches;
@@ -615,16 +584,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ≥2 batch-deadline settings under each serving model: the deadline
-  // sweep shows the latency/throughput trade the co-rider window buys, the
-  // threaded/reactor pairs are the serving-model A/B at fixed batch
-  // settings. Then the high-connection scenario only the reactor can
-  // realistically run.
+  // Two batch-deadline settings: the sweep shows the latency/throughput
+  // trade the co-rider window buys. Then the high-connection scenario.
   std::vector<Scenario> scenarios = {
-      {"threaded/wait1ms", std::chrono::milliseconds(1)},
-      {"threaded/wait4ms", std::chrono::milliseconds(4)},
-      {"reactor/wait1ms", std::chrono::milliseconds(1), true},
-      {"reactor/wait4ms", std::chrono::milliseconds(4), true},
+      {"reactor/wait1ms", std::chrono::milliseconds(1)},
+      {"reactor/wait4ms", std::chrono::milliseconds(4)},
   };
   {
     // Each client holds one connection per logical server. Per-client
@@ -633,7 +597,6 @@ int Main(int argc, char** argv) {
     Scenario high;
     high.name = "reactor/conns" + std::to_string(params.high_conns);
     high.max_wait = std::chrono::milliseconds(4);
-    high.reactor = true;
     high.clients_override = std::max(1, params.high_conns / 2);
     high.requests_override = flags.smoke ? 2 : 4;
     scenarios.push_back(high);

@@ -239,17 +239,6 @@ Metrics& M() {
           "ns",
           LatencyBounds()),
 
-      Registry::Default().AddCounter("lw_pool_parallel_ops_total",
-                                     "ParallelFor regions executed",
-                                     "regions"),
-      Registry::Default().AddCounter("lw_pool_chunks_total",
-                                     "chunks executed across all regions",
-                                     "chunks"),
-      Registry::Default().AddCounter(
-          "lw_pool_chunks_stolen_total",
-          "chunks executed by pool workers rather than the submitting thread",
-          "chunks"),
-
       Registry::Default().AddGauge(
           "lw_reactor_connections",
           "connections currently owned by epoll reactor loops",

@@ -227,12 +227,6 @@ struct Metrics {
   // DPF expansion inside one scan pass, summed over its row shards.
   Histogram& dpf_expand_ns;
 
-  // Thread pool. A "stolen" chunk ran on a pool worker rather than the
-  // submitting thread — the work-handoff rate.
-  Counter& pool_parallel_ops;
-  Counter& pool_chunks;
-  Counter& pool_chunks_stolen;
-
   // Epoll reactor (src/net/reactor.cc). One loop thread multiplexes every
   // reactor-served connection; these expose its health: how many sockets
   // it owns, how much reply data sits queued behind slow readers, how

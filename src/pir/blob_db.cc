@@ -456,9 +456,7 @@ void BlobDatabase::AnswerBatch(const std::vector<dpf::SubtreeKey>& keys,
   if (shards <= 1) {
     scan_shard(0);
   } else {
-    pool->ParallelFor(0, shards, 1, [&](std::size_t w0, std::size_t w1) {
-      for (std::size_t w = w0; w < w1; ++w) scan_shard(w);
-    });
+    pool->Run(shards, scan_shard);
     // Tree reduction across shards; a whole accumulator block (all B
     // answers) is combined per XOR, padding XORs zero into zero.
     for (std::size_t step = 1; step < shards; step <<= 1) {

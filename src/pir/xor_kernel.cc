@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 
 #include "util/alloc.h"
 #include "util/bytes.h"
@@ -266,17 +265,6 @@ bool SetXorTier(XorTier tier) {
   if (!TierSupported(tier)) return false;
   ActiveTierStorage().store(tier, std::memory_order_relaxed);
   return true;
-}
-
-bool SetXorTierByName(const char* name) {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "auto") == 0) {
-    return SetXorTier(BestSupportedXorTier());
-  }
-  if (std::strcmp(name, "scalar") == 0) return SetXorTier(XorTier::kScalar);
-  if (std::strcmp(name, "avx2") == 0) return SetXorTier(XorTier::kAvx2);
-  if (std::strcmp(name, "avx512") == 0) return SetXorTier(XorTier::kAvx512);
-  return false;
 }
 
 void XorBytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {

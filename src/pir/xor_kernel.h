@@ -45,14 +45,10 @@ XorTier BestSupportedXorTier();
 // BestSupportedXorTier() on first use.
 XorTier ActiveXorTier();
 
-// Pins the dispatch to `tier` (equivalence tests, --scan-kernel flag).
+// Pins the dispatch to `tier`: the hook the tier-equivalence tests use.
 // Returns false — leaving the active tier unchanged — if the CPU cannot
 // execute it.
 bool SetXorTier(XorTier tier);
-
-// Parses "scalar" / "avx2" / "avx512" / "auto" and applies it; returns
-// false on an unknown name or unsupported tier.
-bool SetXorTierByName(const char* name);
 
 // dst ^= src over n bytes, through the active tier. Both pointers may be
 // arbitrarily aligned; aligned inputs take the fast path within a tier.

@@ -74,25 +74,11 @@ using AlignedBytes =
     std::vector<std::uint8_t, AlignedAllocator<std::uint8_t>>;
 
 namespace internal {
-inline std::atomic<bool>& HugepagesEnabledFlag() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
 inline std::atomic<std::uint64_t>& HugepageAdvisedBytesCounter() {
   static std::atomic<std::uint64_t> bytes{0};
   return bytes;
 }
 }  // namespace internal
-
-// Process-wide kill switch for the hugepage madvise (--no-hugepages, and
-// A/B measurement in the benches). Allocations made while disabled are
-// plain cache-line-aligned memory.
-inline void SetHugepagesEnabled(bool enabled) {
-  internal::HugepagesEnabledFlag().store(enabled, std::memory_order_relaxed);
-}
-inline bool HugepagesEnabled() {
-  return internal::HugepagesEnabledFlag().load(std::memory_order_relaxed);
-}
 
 // Total bytes successfully madvise(MADV_HUGEPAGE)d so far — lets tests and
 // the bench JSON confirm whether the hugepage path actually engaged on this
@@ -123,8 +109,10 @@ class HugepageAllocator {
   };
 
   T* allocate(std::size_t n) {
+    // Bounds the rounding below, which must not pass PTRDIFF_MAX.
+    if (n > (PTRDIFF_MAX - kHugePageSize) / sizeof(T)) throw std::bad_alloc();
     const std::size_t raw = n * sizeof(T);
-    const bool huge = HugepagesEnabled() && raw >= kHugePageSize;
+    const bool huge = raw >= kHugePageSize;
     const std::size_t alignment = huge ? kHugePageSize : kCacheLineSize;
     const std::size_t bytes = AlignUp(raw, alignment);
     void* p = std::aligned_alloc(alignment, bytes);

@@ -1,50 +1,8 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-
-#include "obs/metrics.h"
-#include "util/numa.h"
+#include <utility>
 
 namespace lw {
-namespace {
-
-// Best-effort NUMA affinity: with >1 node, worker i is pinned to node
-// i % nodes so scan shards touch memory their worker first-faulted locally
-// (see util/numa.h for why this is a hint, not a guarantee). Single-node
-// hosts skip the syscall entirely.
-void PinWorkerForNuma(std::size_t worker_index) {
-  const numa::Topology& topo = numa::SystemTopology();
-  if (topo.node_count() <= 1) return;
-  numa::PinCurrentThreadToNode(
-      topo.nodes[worker_index % topo.nodes.size()]);
-}
-
-// True while this thread is executing chunks of some region (worker thread
-// or participating caller). Nested ParallelFor calls check it and run
-// inline: blocking on region_mu_ from inside a chunk would deadlock.
-thread_local bool tls_in_region = false;
-
-}  // namespace
-
-// One ParallelFor invocation. Shared-owned: a worker that wakes up late can
-// still be holding the region (touching `next`) after the last chunk
-// finished and the caller returned, so lifetime must outlast the slowest
-// participant, not just the last chunk.
-struct ThreadPool::Region {
-  const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::size_t chunk = 1;
-  std::size_t nchunks = 0;
-  std::atomic<std::size_t> next{0};  // handoff cursor: next chunk to claim
-  std::atomic<std::size_t> done{0};  // chunks fully executed
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::exception_ptr error;  // first exception from fn, guarded by done_mu
-};
 
 int ThreadPool::HardwareThreads() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -55,10 +13,7 @@ ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = HardwareThreads();
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int i = 0; i + 1 < threads; ++i) {
-    workers_.emplace_back([this, i] {
-      PinWorkerForNuma(static_cast<std::size_t>(i));
-      WorkerLoop();
-    });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -67,105 +22,54 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
+  work_cv_.notify_all();
+  for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::RunChunks(Region& region, bool stolen) {
-  tls_in_region = true;
-  for (;;) {
-    const std::size_t i = region.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= region.nchunks) break;
-    obs::M().pool_chunks.Inc();
-    if (stolen) obs::M().pool_chunks_stolen.Inc();
-    const std::size_t b = region.begin + i * region.chunk;
-    const std::size_t e = std::min(region.end, b + region.chunk);
+void ThreadPool::RunClaimed(std::unique_lock<std::mutex>& lock) {
+  while (fn_ != nullptr && next_ < n_) {
+    const std::size_t i = next_++;
+    const std::function<void(std::size_t)>& fn = *fn_;
+    lock.unlock();
+    std::exception_ptr error;
     try {
-      (*region.fn)(b, e);
+      fn(i);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(region.done_mu);
-      if (!region.error) region.error = std::current_exception();
+      error = std::current_exception();
     }
-    if (region.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        region.nchunks) {
-      // Last chunk: wake the caller blocked in ParallelFor. Taking done_mu
-      // orders the notify against the caller's predicate check.
-      std::lock_guard<std::mutex> lock(region.done_mu);
-      region.done_cv.notify_all();
-    }
+    lock.lock();
+    if (error && !error_) error_ = std::move(error);
+    if (++returned_ == n_) done_cv_.notify_one();
   }
-  tls_in_region = false;
 }
 
 void ThreadPool::WorkerLoop() {
-  std::uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::shared_ptr<Region> region;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return stop_ || (active_ != nullptr && epoch_ != seen_epoch);
-      });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      region = active_;
-    }
-    RunChunks(*region, /*stolen=*/true);
+    work_cv_.wait(lock,
+                  [&] { return stop_ || (fn_ != nullptr && next_ < n_); });
+    if (stop_) return;
+    RunClaimed(lock);
   }
 }
 
-void ThreadPool::ParallelFor(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  const std::size_t range = end - begin;
-  if (workers_.empty() || range <= grain || tls_in_region) {
-    fn(begin, end);
-    return;
-  }
-  obs::M().pool_parallel_ops.Inc();
-
-  // Static partition, ~4 chunks per thread so a straggling worker hands
-  // leftover chunks to idle peers; `grain` floors the chunk size so tiny
-  // ranges do not shred into per-element dispatch.
-  const std::size_t target_chunks =
-      static_cast<std::size_t>(thread_count()) * 4;
-  const std::size_t chunk =
-      std::max(grain, (range + target_chunks - 1) / target_chunks);
-
-  auto region = std::make_shared<Region>();
-  region->fn = &fn;
-  region->begin = begin;
-  region->end = end;
-  region->chunk = chunk;
-  region->nchunks = (range + chunk - 1) / chunk;
-
-  // One region at a time: concurrent ParallelFor callers queue here rather
-  // than interleave chunks (the pool is the contended resource either way).
-  std::lock_guard<std::mutex> region_lock(region_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_ = region;
-    ++epoch_;
-  }
-  cv_.notify_all();
-
-  RunChunks(*region, /*stolen=*/false);  // the caller always participates
-
-  {
-    std::unique_lock<std::mutex> lock(region->done_mu);
-    region->done_cv.wait(lock, [&] {
-      return region->done.load(std::memory_order_acquire) == region->nchunks;
-    });
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_.reset();
-  }
-  if (region->error) std::rethrow_exception(region->error);
+void ThreadPool::Run(std::size_t n,
+                     const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  std::lock_guard<std::mutex> turn(turn_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  fn_ = &fn;
+  n_ = n;
+  next_ = 0;
+  returned_ = 0;
+  work_cv_.notify_all();
+  RunClaimed(lock);
+  // Every index is claimed; wait for the calls still running on workers.
+  done_cv_.wait(lock, [&] { return returned_ == n_; });
+  fn_ = nullptr;
+  const std::exception_ptr error = std::exchange(error_, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace lw

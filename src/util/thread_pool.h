@@ -1,27 +1,23 @@
-// Fixed-size worker pool with a chunked ParallelFor.
+// Fixed-size worker pool for the one multi-core pass of a data server.
 //
-// The ZLTP server's per-request cost is two embarrassingly parallel passes
-// (DPF full-domain expansion and the record XOR scan — paper §5.1), and the
-// paper's latency figures assume the server "can use multiple cores". This
-// pool is the shared substrate for both hot paths: a fixed worker set is
-// spawned once per server and reused across requests, so the steady state
-// pays no thread creation and each worker keeps its thread-local DPF
-// scratch buffers warm.
+// The ZLTP server's per-request cost is one pass over the records (paper
+// §5.1), and the paper's latency figures assume the server "can use
+// multiple cores". pir::BlobDatabase::AnswerBatch splits that pass into row
+// shards that balance their own rows, and runs them here through Run. A
+// fixed worker set is spawned once per server and reused across passes, so
+// the steady state pays no thread creation.
 //
-// Scheduling is static partitioning with work handoff: ParallelFor cuts the
-// range into a few chunks per thread (never smaller than `grain`) and
-// workers pull chunks off a shared atomic cursor, so a straggler sheds its
-// remaining chunks to idle peers without any per-element synchronization.
-// The calling thread always participates, which gives two graceful
-// fallbacks for free: a pool built with threads <= 1 spawns no workers and
-// runs everything inline, and nested ParallelFor calls (from inside a chunk
-// body) also run inline instead of deadlocking.
+// Run(n, fn) hands out the indices 0..n-1 one at a time: the caller and the
+// workers each take the next unclaimed index whenever they are free. The
+// calling thread always participates, so a worker that wakes late leaves
+// its share to the caller instead of holding up the pass, and a pool built
+// with threads <= 1 spawns no workers and runs everything on the caller.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -30,8 +26,8 @@ namespace lw {
 
 class ThreadPool {
  public:
-  // Total threads ParallelFor may use, including the caller: a pool built
-  // with `threads` spawns threads-1 workers. threads <= 0 selects
+  // Total threads Run may use, including the caller: a pool built with
+  // `threads` spawns threads-1 workers. threads <= 0 selects
   // HardwareThreads().
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
@@ -39,42 +35,36 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Number of threads a ParallelFor can occupy (workers + caller); >= 1.
+  // Number of threads a Run can occupy (workers + caller); >= 1.
   int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Invokes fn(chunk_begin, chunk_end) over a disjoint partition of
-  // [begin, end), with every chunk at least `grain` elements (except the
-  // last). Blocks until all chunks have completed; exceptions thrown by fn
-  // are rethrown here (first one wins). fn runs concurrently on up to
-  // thread_count() threads — chunks must not touch overlapping state.
-  // Empty ranges, single-thread pools, ranges no larger than `grain`, and
-  // nested calls all run fn(begin, end) inline on the caller.
-  void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
+  // Calls fn(i) once for every i < n, on up to thread_count() threads, and
+  // returns when every call has returned. If calls throw, the first
+  // exception is rethrown here after the other calls finished. Concurrent
+  // callers take turns. fn must not call Run on this pool.
+  void Run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // std::thread::hardware_concurrency(), clamped to at least 1.
   static int HardwareThreads();
 
  private:
-  struct Region;
-
   void WorkerLoop();
-  // Pulls chunks from `region` until its cursor is exhausted. `stolen`
-  // marks chunks executed by a pool worker (vs the submitting caller) in
-  // the lw_pool_chunks_stolen_total metric.
-  static void RunChunks(Region& region, bool stolen);
+  // Claims and runs the current pass's unclaimed indices until none is
+  // left. Called with mu_ held; releases it around each call.
+  void RunClaimed(std::unique_lock<std::mutex>& lock);
 
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;  // guards active_/epoch_/stop_ and pairs with cv_
-  std::condition_variable cv_;
-  // Heap-shared so late-waking workers can still hold the region briefly
-  // after the caller has moved on (see ParallelFor).
-  std::shared_ptr<Region> active_;
-  std::uint64_t epoch_ = 0;  // bumped per region so workers never re-run one
+  std::mutex turn_mu_;  // held by the caller whose pass is running
+  std::mutex mu_;       // guards everything below
+  std::condition_variable work_cv_;  // a pass started, or stop_
+  std::condition_variable done_cv_;  // the pass's last call returned
+  const std::function<void(std::size_t)>* fn_ = nullptr;  // null: no pass
+  std::size_t n_ = 0;
+  std::size_t next_ = 0;      // next unclaimed index
+  std::size_t returned_ = 0;  // calls that have returned
+  std::exception_ptr error_;  // first exception of the pass
   bool stop_ = false;
-
-  std::mutex region_mu_;  // serializes concurrent ParallelFor callers
 };
 
 }  // namespace lw

@@ -39,17 +39,14 @@ ServerHello FrontEndHello(std::uint8_t role, Bytes keyword_seed,
 // ---------------------------------------------------------- data shard
 
 ShardDataServer::ShardDataServer(const ShardTopology& topology,
-                                 std::size_t shard_index, int num_threads)
+                                 std::size_t shard_index)
     : topology_(topology),
       shard_index_(shard_index),
-      pool_(num_threads == 1 ? nullptr
-                             : std::make_unique<ThreadPool>(num_threads)),
       db_(topology.shard_domain_bits(), topology.record_size),
       // The close rule drains what is queued: the front-end's fan-out
       // delivers a page's sub-queries to every shard as one burst, so a
       // co-rider window would only add its length to every page.
-      batcher_(*this, BatchConfig{.max_wait = std::chrono::milliseconds(0)},
-               pool_.get()),
+      batcher_(*this, BatchConfig{.max_wait = std::chrono::milliseconds(0)}),
       // Shard links are CDN-internal: bare GetRequest frames, no hello.
       core_({.parse = [this](Bytes body) -> Result<EndpointCore::Answer> {
                auto key = dpf::SubtreeKey::Deserialize(body);
@@ -100,8 +97,7 @@ Result<std::vector<Bytes>> ShardDataServer::AnswerBatch(
 }
 
 Result<Bytes> ShardDataServer::Answer(const dpf::SubtreeKey& key) const {
-  LW_ASSIGN_OR_RETURN(std::vector<Bytes> answers,
-                      AnswerBatch({key}, pool_.get()));
+  LW_ASSIGN_OR_RETURN(std::vector<Bytes> answers, AnswerBatch({key}));
   return std::move(answers.front());
 }
 

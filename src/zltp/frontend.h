@@ -34,7 +34,6 @@
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "zltp/batch.h"
 #include "zltp/endpoint.h"
 #include "zltp/messages.h"
@@ -54,12 +53,9 @@ struct ShardTopology {
 
 class ShardDataServer {
  public:
-  // `num_threads` drives the shard's XOR scan through a private pool
-  // (0 = hardware_concurrency(), 1 = serial; the default stays serial
-  // because deployments typically pack one shard per small instance —
-  // paper §5.2). The pass expands the sub-tree keys on the same pool.
-  ShardDataServer(const ShardTopology& topology, std::size_t shard_index,
-                  int num_threads = 1);
+  // A shard scans on its batch worker alone: deployments pack one shard
+  // per small instance (paper §5.2).
+  ShardDataServer(const ShardTopology& topology, std::size_t shard_index);
 
   ShardDataServer(const ShardDataServer&) = delete;
   ShardDataServer& operator=(const ShardDataServer&) = delete;
@@ -84,7 +80,7 @@ class ShardDataServer {
       const std::vector<dpf::SubtreeKey>& keys,
       ThreadPool* pool = nullptr) const;
 
-  // A one-key AnswerBatch on the shard's pool (in-process use and tests).
+  // A one-key AnswerBatch (in-process use and tests).
   Result<Bytes> Answer(const dpf::SubtreeKey& key) const;
 
   // Both drivers queue each sub-tree query in the shard's scheduler and read
@@ -105,7 +101,6 @@ class ShardDataServer {
 
   ShardTopology topology_;
   std::size_t shard_index_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   mutable std::mutex db_mu_;
   pir::BlobDatabase db_;
   // Runs at the start of every AnswerBatch when set. Tests set it before

@@ -43,10 +43,8 @@ ServerHello EnclaveHello(const oram::KvEnclave& enclave) {
 
 ZltpPirServer::ZltpPirServer(const PirStore& store, std::uint8_t role,
                              ServerOptions options)
-    : pool_(options.num_threads == 1
-                ? nullptr
-                : std::make_unique<ThreadPool>(options.num_threads)),
-      batcher_(store, options.batch_config, pool_.get()),
+    : pool_(options.num_threads),
+      batcher_(store, options.batch_config, &pool_),
       core_({.hello = PirHello(store, role),
              .parse = [this](Bytes body) -> Result<EndpointCore::Answer> {
                auto key = dpf::DpfKey::Deserialize(body);

@@ -29,9 +29,9 @@ namespace lw::zltp {
 
 struct ServerOptions {
   BatchConfig batch_config;
-  // Threads for per-request compute (DPF expansion + data scan, paper
-  // §5.1's multi-core server): 0 selects hardware_concurrency(); 1 runs
-  // strictly serial with no pool threads at all.
+  // Threads for each scan pass, its DPF expansion included (paper §5.1's
+  // multi-core server): 0 selects hardware_concurrency(); 1 scans on the
+  // batch worker alone, with no pool threads at all.
   int num_threads = 0;
 };
 
@@ -69,8 +69,8 @@ class ZltpPirServer {
   BatchScheduler::Stats batch_stats() const { return batcher_.stats(); }
 
  private:
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
-  BatchScheduler batcher_;            // after pool_: it scans on the pool
+  ThreadPool pool_;
+  BatchScheduler batcher_;  // after pool_: it scans on the pool
   EndpointCore core_;  // last: its readers stop before the batcher goes
 };
 

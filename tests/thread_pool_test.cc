@@ -1,10 +1,11 @@
-// ThreadPool tests: exact range coverage (every index once), degenerate
-// ranges, nested ParallelFor, exception propagation, reuse across rounds,
-// and concurrent callers. Run under tsan in CI.
+// ThreadPool tests: Run calls every index exactly once, the pool is
+// reusable, exceptions propagate after the other calls ran, concurrent
+// callers take turns, and the caller takes the indices a busy worker
+// leaves. No test sleeps or reads a clock. Run under tsan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -16,16 +17,15 @@
 namespace lw {
 namespace {
 
-// Marks every index in [begin,end) and checks each was visited exactly once.
-void ExpectExactCoverage(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         std::size_t grain) {
-  std::vector<std::atomic<int>> hits(end);
-  pool.ParallelFor(begin, end, grain, [&](std::size_t b, std::size_t e) {
-    ASSERT_LE(b, e);
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+// Runs n indices and checks each was called exactly once.
+void ExpectEachIndexOnce(ThreadPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  pool.Run(n, [&](std::size_t i) {
+    ASSERT_LT(i, n);
+    hits[i].fetch_add(1);
   });
-  for (std::size_t i = 0; i < end; ++i) {
-    EXPECT_EQ(hits[i].load(), i >= begin ? 1 : 0) << "index " << i;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
   }
 }
 
@@ -33,70 +33,53 @@ class ThreadPoolTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadPoolTest, CoversRangesExactlyOnce) {
   ThreadPool pool(GetParam());
-  ExpectExactCoverage(pool, 0, 1, 1);          // single element
-  ExpectExactCoverage(pool, 0, 64, 1);         // divisible
-  ExpectExactCoverage(pool, 0, 1000, 7);       // non-divisible grain
-  ExpectExactCoverage(pool, 3, 17, 100);       // grain > range
-  ExpectExactCoverage(pool, 0, 4096, 64);      // many chunks
-  ExpectExactCoverage(pool, 100, 100, 1);      // empty range is a no-op
+  for (const std::size_t n : {0, 1, 2, 3, 8, 100}) {
+    ExpectEachIndexOnce(pool, n);
+  }
 }
 
 TEST_P(ThreadPoolTest, ReusableAcrossManyRounds) {
   ThreadPool pool(GetParam());
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.ParallelFor(0, 100, 3, [&](std::size_t b, std::size_t e) {
-      std::size_t local = 0;
-      for (std::size_t i = b; i < e; ++i) local += i;
-      sum.fetch_add(local);
-    });
+    pool.Run(100, [&](std::size_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 100u * 99u / 2);
   }
 }
 
-TEST_P(ThreadPoolTest, NestedParallelForRunsInline) {
-  // A worker that itself calls ParallelFor must not deadlock waiting for
-  // pool slots it occupies; nested calls degrade to inline execution.
-  ThreadPool pool(GetParam());
-  std::atomic<std::size_t> total{0};
-  pool.ParallelFor(0, 8, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      pool.ParallelFor(0, 10, 1, [&](std::size_t ib, std::size_t ie) {
-        total.fetch_add(ie - ib);
-      });
-    }
-  });
-  EXPECT_EQ(total.load(), 80u);
-}
-
 TEST_P(ThreadPoolTest, PropagatesExceptions) {
   ThreadPool pool(GetParam());
-  EXPECT_THROW(
-      pool.ParallelFor(0, 100, 1,
-                       [&](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i) {
-                           if (i == 40) throw std::runtime_error("boom");
-                         }
-                       }),
-      std::runtime_error);
+  for (const std::size_t thrower : {0, 40, 99}) {
+    std::vector<std::atomic<int>> hits(100);
+    EXPECT_THROW(pool.Run(100,
+                          [&](std::size_t i) {
+                            hits[i].fetch_add(1);
+                            if (i == thrower) throw std::runtime_error("boom");
+                          }),
+                 std::runtime_error);
+    // Every other index still ran, once, before Run rethrew.
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+  }
   // The pool stays usable after an exception.
-  ExpectExactCoverage(pool, 0, 128, 8);
+  ExpectEachIndexOnce(pool, 128);
 }
 
 TEST_P(ThreadPoolTest, ConcurrentCallersSerialize) {
-  // Several external threads hammer one pool; each call must still see
-  // exact coverage of its own range.
+  // Several external threads share one pool; each call must still see its
+  // own indices exactly once.
   ThreadPool pool(GetParam());
   std::atomic<int> failures{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < 4; ++c) {
     callers.emplace_back([&pool, &failures] {
       for (int round = 0; round < 20; ++round) {
-        std::atomic<std::size_t> count{0};
-        pool.ParallelFor(0, 500, 9, [&](std::size_t b, std::size_t e) {
-          count.fetch_add(e - b);
-        });
-        if (count.load() != 500) failures.fetch_add(1);
+        std::vector<std::atomic<int>> hits(57);
+        pool.Run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (const std::atomic<int>& h : hits) {
+          if (h.load() != 1) failures.fetch_add(1);
+        }
       }
     });
   }
@@ -111,11 +94,7 @@ TEST(ThreadPool, SingleThreadSpawnsNoWorkers) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1);
   std::set<std::thread::id> seen;
-  std::mutex mu;
-  pool.ParallelFor(0, 100, 1, [&](std::size_t, std::size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.insert(std::this_thread::get_id());
-  });
+  pool.Run(100, [&](std::size_t) { seen.insert(std::this_thread::get_id()); });
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
 }
@@ -127,17 +106,32 @@ TEST(ThreadPool, DefaultUsesHardwareConcurrency) {
 }
 
 TEST(ThreadPool, CallerParticipatesInWork) {
-  // The calling thread claims chunks itself, so work completes even if
-  // workers are slow to wake. Chunks are slowed down so workers cannot
-  // drain the whole range before the caller claims its first chunk.
-  ThreadPool pool(4);
-  std::atomic<bool> caller_ran{false};
+  // The worker's first index does not return until three other calls
+  // have, and only the caller is left to make them: a pool that gave the
+  // worker a fixed share of the indices would never finish this pass. If
+  // the worker wakes after the caller took every index, the caller runs
+  // all four.
+  ThreadPool pool(2);
   const std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(0, 64, 1, [&](std::size_t, std::size_t) {
-    if (std::this_thread::get_id() == caller) caller_ran.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::mutex mu;
+  std::condition_variable cv;
+  int returned = 0;
+  int caller_calls = 0;
+  std::vector<int> hits(4, 0);
+  pool.Run(4, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++hits[i];
+    if (std::this_thread::get_id() == caller) {
+      ++caller_calls;
+    } else {
+      cv.wait(lock, [&] { return returned == 3; });
+    }
+    ++returned;
+    cv.notify_all();
   });
-  EXPECT_TRUE(caller_ran.load());
+  EXPECT_EQ(returned, 4);
+  EXPECT_GE(caller_calls, 3);
+  EXPECT_EQ(hits, std::vector<int>(4, 1));
 }
 
 }  // namespace

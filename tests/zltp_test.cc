@@ -847,6 +847,41 @@ TEST(PirSessionErrors, MismatchedUniversesRejected) {
   EXPECT_FALSE(session.ok());
 }
 
+TEST(PirSessionErrors, UnpublishedKeyAtATakenIndexIsCollision) {
+  // 32 slots and one published key: an unpublished key that hashes to its
+  // slot reconstructs that key's record and must read COLLISION, and a key
+  // whose slot is empty must read NOT_FOUND.
+  PirStore store(SmallStoreConfig(5, 64));
+  ASSERT_TRUE(store.Publish("a.com/page", ToBytes("a's page")).ok());
+  const std::uint64_t taken = store.mapper().IndexOf("a.com/page");
+  std::string colliding;
+  std::string empty_slot;
+  for (int i = 0; i < 10000 && (colliding.empty() || empty_slot.empty());
+       ++i) {
+    const std::string key = "b.com/page-" + std::to_string(i);
+    std::string& slot =
+        store.mapper().IndexOf(key) == taken ? colliding : empty_slot;
+    if (slot.empty()) slot = key;
+  }
+  ASSERT_FALSE(colliding.empty());
+  ASSERT_FALSE(empty_slot.empty());
+  ZltpPirServer server0(store, 0);
+  ZltpPirServer server1(store, 1);
+  net::TransportPair p0 = net::CreateInMemoryPair();
+  net::TransportPair p1 = net::CreateInMemoryPair();
+  server0.ServeConnectionDetached(std::move(p0.b));
+  server1.ServeConnectionDetached(std::move(p1.b));
+  auto session = PirSession::Establish(
+      EstablishOptions::FromTransports(std::move(p0.a), std::move(p1.a)));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session->PrivateGet(colliding).status().code(),
+            StatusCode::kCollision);
+  EXPECT_EQ(session->PrivateGet(empty_slot).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(ToString(session->PrivateGet("a.com/page").value()), "a's page");
+  session->Close();
+}
+
 // A peer on protocol version 1 would send single-bit-leaf DPF keys; it must
 // be turned away at the hello so an old-format key never reaches
 // DpfKey::Deserialize.

@@ -6,15 +6,21 @@
 // a path, a link number from the last page, or 'q'.
 //
 // Usage:  lightweb_browse <host> <base_port> [path]
+//
+// The four endpoints are base_port .. base_port + 3; a base port that is
+// not a decimal in 1..65532 prints "bad base port" and the usage and exits
+// 2 before anything is dialled.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "lightweb/browser.h"
 #include "lightweb/channel.h"
 #include "net/tcp.h"
+#include "parse_number.h"
 #include "zltp/client.h"
 
 namespace {
@@ -56,15 +62,22 @@ void Render(const lightweb::RenderedPage& page) {
               page.code_cache_hit ? "cached" : "fetched");
 }
 
+int Usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s <host> <base_port> [path]\n", argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: %s <host> <base_port> [path]\n", argv[0]);
-    return 2;
-  }
+  if (argc < 3) return Usage(argv[0]);
   const std::string host = argv[1];
-  const int base_port = std::atoi(argv[2]);
+  const std::optional<long> port = tools::ParseNumber(argv[2], 1, 65532);
+  if (!port) {
+    std::fprintf(stderr, "bad base port\n");
+    return Usage(argv[0]);
+  }
+  const int base_port = static_cast<int>(*port);
 
   auto code_session = ConnectPair(host, base_port, base_port + 1);
   auto data_session = ConnectPair(host, base_port + 2, base_port + 3);

@@ -16,9 +16,7 @@
 //   lightweb_serve <base_port> [--snapshot state.json]
 //                  [--metrics-port=N] [--metrics-dump=PATH]
 //                  [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]
-//                  [--deadline-ms=N] [--threads=N]
-//                  [--scan-kernel=auto|scalar|avx2|avx512] [--no-hugepages]
-//                  <site.json> ...
+//                  [--deadline-ms=N] [--threads=N] <site.json> ...
 //
 // With --snapshot, an existing snapshot file is loaded before any site
 // files, and the final universe (snapshot + newly loaded sites) is written
@@ -27,14 +25,16 @@
 // Serving model (docs/ARCHITECTURE.md): one epoll loop multiplexes all
 // four endpoints; complete frames hand off to the batch scheduler.
 //
-// Batching / data-plane knobs (docs/PERFORMANCE.md):
-//   --max-batch=N     queries fused per scan pass (default 16)
+// Batching knobs (docs/PERFORMANCE.md):
+//   --max-batch=N     queries fused per scan pass (default 16; >= 1)
 //   --max-wait-ms=N   co-rider window after a batch's first query
 //   --queue-limit=N   shed RESOURCE_EXHAUSTED beyond N queued queries
 //   --deadline-ms=N   per-request deadline budget driving early batch close
-//   --threads=N       per-request compute threads (0 = hardware)
-//   --scan-kernel=K   pin the XOR kernel tier (default runtime-detected)
-//   --no-hugepages    skip madvise(MADV_HUGEPAGE) on record arenas
+//   --threads=N       threads per scan pass (0 = hardware; at most 1024)
+//
+// Every number is a whole decimal argument in range; anything else prints
+// "bad <flag>" and the usage and exits 2 before any port is bound. The XOR
+// kernel tier is chosen from the CPU and printed at start-up.
 //
 // Observability (see docs/OBSERVABILITY.md):
 //   --metrics-port=N   serve GET /metrics (Prometheus text) and
@@ -51,8 +51,10 @@
 //   }
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -62,8 +64,8 @@
 #include "net/reactor.h"
 #include "net/tcp.h"
 #include "obs/exporter.h"
+#include "parse_number.h"
 #include "pir/xor_kernel.h"
-#include "util/alloc.h"
 #include "util/file.h"
 #include "util/log.h"
 #include "zltp/server.h"
@@ -136,12 +138,24 @@ int Usage(const char* argv0) {
                "usage: %s <base_port> [--snapshot state.json]\n"
                "         [--metrics-port=N] [--metrics-dump=PATH]\n"
                "         [--max-batch=N] [--max-wait-ms=N] [--queue-limit=N]\n"
-               "         [--deadline-ms=N] [--threads=N]\n"
-               "         [--scan-kernel=auto|scalar|avx2|avx512] "
-               "[--no-hugepages]\n"
-               "         <site.json> ...\n",
+               "         [--deadline-ms=N] [--threads=N] <site.json> ...\n",
                argv0);
   return 2;
+}
+
+// Reports a malformed or out-of-range number for `what` (a --flag=N
+// argument, or the name of a positional one), then the usage.
+int BadValue(const char* argv0, const std::string& what) {
+  std::fprintf(stderr, "bad %s\n", what.substr(0, what.find('=')).c_str());
+  return Usage(argv0);
+}
+
+// The value after the '=' of a --flag=N argument, if it is a decimal in
+// [min, max].
+std::optional<long> FlagNumber(const std::string& arg, long min,
+                               long max = std::numeric_limits<int>::max()) {
+  return tools::ParseNumber(std::string_view(arg).substr(arg.find('=') + 1),
+                            min, max);
 }
 
 }  // namespace
@@ -152,11 +166,9 @@ int main(int argc, char** argv) {
   // (which ends the process without flushing) cannot lose them.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   if (argc < 3) return Usage(argv[0]);
-  const int base_port = std::atoi(argv[1]);
-  if (base_port <= 0 || base_port > 65531) {
-    std::fprintf(stderr, "bad base port\n");
-    return 2;
-  }
+  // The four endpoints take base_port .. base_port + 3.
+  const std::optional<long> base_port = tools::ParseNumber(argv[1], 1, 65531);
+  if (!base_port) return BadValue(argv[0], "base port");
 
   std::string snapshot_path;
   std::string metrics_dump_path;
@@ -172,53 +184,32 @@ int main(int argc, char** argv) {
       }
       snapshot_path = argv[++i];
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
-      metrics_port = std::atoi(arg.c_str() + 15);
-      if (metrics_port < 0 || metrics_port > 65535) {
-        std::fprintf(stderr, "bad --metrics-port\n");
-        return 2;
-      }
+      const std::optional<long> v = FlagNumber(arg, 0, 65535);
+      if (!v) return BadValue(argv[0], arg);
+      metrics_port = static_cast<int>(*v);
     } else if (arg.rfind("--metrics-dump=", 0) == 0) {
       metrics_dump_path = arg.substr(15);
     } else if (arg.rfind("--max-batch=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 12);
-      if (v < 1) {
-        std::fprintf(stderr, "bad --max-batch (need >= 1)\n");
-        return 2;
-      }
-      server_options.batch_config.max_batch = static_cast<std::size_t>(v);
+      const std::optional<long> v = FlagNumber(arg, 1);
+      if (!v) return BadValue(argv[0], arg);
+      server_options.batch_config.max_batch = static_cast<std::size_t>(*v);
     } else if (arg.rfind("--max-wait-ms=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 14);
-      if (v < 0) {
-        std::fprintf(stderr, "bad --max-wait-ms\n");
-        return 2;
-      }
-      server_options.batch_config.max_wait = std::chrono::milliseconds(v);
+      const std::optional<long> v = FlagNumber(arg, 0);
+      if (!v) return BadValue(argv[0], arg);
+      server_options.batch_config.max_wait = std::chrono::milliseconds(*v);
     } else if (arg.rfind("--queue-limit=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 14);
-      if (v < 0) {
-        std::fprintf(stderr, "bad --queue-limit\n");
-        return 2;
-      }
-      server_options.batch_config.queue_limit = static_cast<std::size_t>(v);
+      const std::optional<long> v = FlagNumber(arg, 0);
+      if (!v) return BadValue(argv[0], arg);
+      server_options.batch_config.queue_limit = static_cast<std::size_t>(*v);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      const int v = std::atoi(arg.c_str() + 14);
-      if (v < 0) {
-        std::fprintf(stderr, "bad --deadline-ms\n");
-        return 2;
-      }
+      const std::optional<long> v = FlagNumber(arg, 0);
+      if (!v) return BadValue(argv[0], arg);
       server_options.batch_config.deadline_budget =
-          std::chrono::milliseconds(v);
+          std::chrono::milliseconds(*v);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      server_options.num_threads = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--scan-kernel=", 0) == 0) {
-      if (!pir::SetXorTierByName(arg.c_str() + 14)) {
-        std::fprintf(stderr,
-                     "bad --scan-kernel (unknown or unsupported on this "
-                     "CPU; want auto|scalar|avx2|avx512)\n");
-        return 2;
-      }
-    } else if (arg == "--no-hugepages") {
-      SetHugepagesEnabled(false);
+      const std::optional<long> v = FlagNumber(arg, 0, 1024);
+      if (!v) return BadValue(argv[0], arg);
+      server_options.num_threads = static_cast<int>(*v);
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return Usage(argv[0]);
@@ -226,8 +217,7 @@ int main(int argc, char** argv) {
       site_files.emplace_back(arg);
     }
   }
-  std::printf("scan kernel: %s%s\n", pir::XorTierName(pir::ActiveXorTier()),
-              HugepagesEnabled() ? ", hugepages advised" : ", hugepages off");
+  std::printf("scan kernel: %s\n", pir::XorTierName(pir::ActiveXorTier()));
 
   lightweb::Universe universe(ServeConfig());
   if (!snapshot_path.empty()) {
@@ -305,9 +295,9 @@ int main(int argc, char** argv) {
   net::Reactor reactor;
   for (int i = 0; i < 4; ++i) {
     auto listener =
-        net::TcpListener::Listen(static_cast<std::uint16_t>(base_port + i));
+        net::TcpListener::Listen(static_cast<std::uint16_t>(*base_port + i));
     if (!listener.ok()) {
-      std::fprintf(stderr, "listen %d: %s\n", base_port + i,
+      std::fprintf(stderr, "listen %ld: %s\n", *base_port + i,
                    listener.status().ToString().c_str());
       return 1;
     }
@@ -316,7 +306,7 @@ int main(int argc, char** argv) {
     const Status s =
         endpoints[i].server->ServeOnReactor(reactor, std::move(*listener));
     if (!s.ok()) {
-      std::fprintf(stderr, "serve %d: %s\n", base_port + i,
+      std::fprintf(stderr, "serve %ld: %s\n", *base_port + i,
                    s.ToString().c_str());
       return 1;
     }
@@ -325,8 +315,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "reactor: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %d <domain/path>\n",
-              base_port);
+  std::printf("\nbrowse with: lightweb_browse 127.0.0.1 %ld <domain/path>\n",
+              *base_port);
   reactor.Join();
   return 0;
 }
