@@ -33,10 +33,11 @@
 // width follows from the batch and record sizes alone. Each query's
 // answer is then the XOR of its group's entries whose pattern selects it.
 // A single query XORs its selected rows straight into one accumulator.
-// With a ThreadPool the scan runs one shard per worker, each with private
-// tables and accumulators; the shards claim row chunks (never spanning a
-// bucket) from a shared cursor, so a slow worker's rows go to the others,
-// and a tree reduction combines the shards (the multi-core server of §5.1).
+// With a ThreadPool the scan runs up to one row shard per pool thread, each
+// with private tables and accumulators; the shards claim row chunks (never
+// spanning a bucket) from a shared cursor, so a slow thread's rows go to
+// the others, and a tree reduction combines the shards (the multi-core
+// server of §5.1).
 #pragma once
 
 #include <cstdint>
